@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .cyclotomic import add_sparse, power_by_squaring
+
 __all__ = [
     "IntPoly",
     "chebyshev_T",
@@ -59,14 +61,7 @@ class IntPoly:
         return not self.terms
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, _F0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return IntPoly(out)
+        return IntPoly(add_sparse(self.terms, other.terms))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
@@ -99,14 +94,7 @@ class IntPoly:
     def __pow__(self, k: int) -> "IntPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = IntPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power_by_squaring(self, k, IntPoly.const(1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.terms == other.terms

@@ -8,7 +8,8 @@ Subcommands:
 * ``nu``        -- the Chebyshev-derived integer coefficients nu_r
 * ``grid``      -- run the default (n, ell) grid, emit a combined JSON report
 
-Exit status is 0 iff every executed check passed.
+Exit status is 0 iff every executed check passed, and 2 on bad input,
+which is reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 
 from .chebyshev import nu
-from .exprs import EvalError, ParseError, eval_hecke, eval_scalar, parse
+from .exprs import eval_hecke, eval_scalar, parse
 from .hecke import HeckeAlgebra
 from .laurent import LaurentAlgebra
 from .suite import (
@@ -36,7 +37,7 @@ def _parse_t(text: str, ell: int, n: int):
         return None
     values = [eval_scalar(part.strip(), ell) for part in text.split(",")]
     if len(values) != n:
-        raise SystemExit(f"--t expects {n} comma-separated scalars or 'sym'")
+        raise ValueError(f"--t expects {n} comma-separated scalars or 'sym'")
     return tuple(values)
 
 
@@ -44,6 +45,8 @@ def _parse_points(text: str):
     points = []
     for chunk in text.split(","):
         n, _, ell = chunk.partition(":")
+        if not (n.strip().isdigit() and ell.strip().isdigit()):
+            raise ValueError(f"--points expects n:ell pairs, got {chunk!r}")
         points.append((int(n), int(ell)))
     return tuple(points)
 
@@ -109,7 +112,14 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:  # ParseError and EvalError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "verify":
         t_values = _parse_t(args.t, args.ell, args.n)
         cfg = Config(
@@ -129,25 +139,19 @@ def main(argv=None) -> int:
     if args.command == "normalize":
         t_values = _parse_t(args.t, args.ell, args.n)
         alg = HeckeAlgebra(args.n, args.ell, t_values)
-        try:
-            print(eval_hecke(parse(args.expr), alg).render())
-        except (ParseError, EvalError) as exc:
-            raise SystemExit(f"error: {exc}")
+        print(eval_hecke(parse(args.expr), alg).render())
         return 0
 
     if args.command == "theta":
         t_values = _parse_t(args.t, args.ell, args.n)
         H = HeckeAlgebra(args.n, args.ell, t_values)
         L = LaurentAlgebra(args.n, args.ell, t_values)
-        try:
-            print(L.theta(eval_hecke(parse(args.expr), H)).render())
-        except (ParseError, EvalError) as exc:
-            raise SystemExit(f"error: {exc}")
+        print(L.theta(eval_hecke(parse(args.expr), H)).render())
         return 0
 
     if args.command == "nu":
         if args.ell < 1:
-            raise SystemExit("--ell must be >= 1")
+            raise ValueError("--ell must be >= 1")
         values = [nu(args.ell, r) for r in range(args.ell // 2 + 1)]
         print(", ".join(str(v.numerator) for v in values))
         return 0

@@ -20,7 +20,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, format_rational, zeta_power
+from .cyclotomic import (
+    Cyclotomic,
+    add_sparse,
+    indexed_powers,
+    power_by_squaring,
+    render_terms,
+    zeta_power,
+)
 
 __all__ = ["ParamPoly", "ParamRing"]
 
@@ -60,18 +67,7 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-            else:
-                s = prev + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-        return ParamPoly(self.n, self.ell, out, _canonical=True)
+        return ParamPoly(self.n, self.ell, add_sparse(self.terms, other.terms), _canonical=True)
 
     def __sub__(self, other):
         if not isinstance(other, ParamPoly):
@@ -138,16 +134,10 @@ class ParamPoly:
     def __pow__(self, k: int) -> "ParamPoly":
         if k < 0:
             raise ValueError("negative power of a parameter polynomial")
-        result = ParamPoly(
+        one = ParamPoly(
             self.n, self.ell, {(0,) * self.n: Cyclotomic.one(self.ell)}, _canonical=True
         )
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power_by_squaring(self, k, one)
 
     def __eq__(self, other) -> bool:
         return (
@@ -189,8 +179,9 @@ class ParamPoly:
             self.terms.items(), key=lambda item: (-sum(item[0]), tuple(-x for x in item[0]))
         )
 
-    def flat_terms(self):
-        """Flatten into ordered (rational, zeta_power, t_exponents) triples.
+    def factor_terms(self) -> list:
+        """Flatten into ordered (rational, factors) terms for ``render_terms``:
+        one per t-monomial and zeta power.
 
         Every polynomial decomposes uniquely this way because Cyclotomic
         coefficients are reduced against the power basis 1, zeta, ...,
@@ -198,29 +189,13 @@ class ParamPoly:
         """
         out = []
         for e, c in self.sorted_terms():
-            for k, rat in enumerate(c.coeffs):
-                if rat:
-                    out.append((rat, k, e))
+            ts = indexed_powers("t", e)
+            for rat, zeta in c.factor_terms():
+                out.append((rat, zeta + ts))
         return out
 
     def render(self) -> str:
-        from .cyclotomic import join_signed_terms
-
-        parts = []
-        for rat, zexp, e in self.flat_terms():
-            factors = []
-            if zexp == 1:
-                factors.append("zeta")
-            elif zexp > 1:
-                factors.append(f"zeta^{zexp}")
-            for j, k in enumerate(e, start=1):
-                if k:
-                    factors.append(f"t{j}" if k == 1 else f"t{j}^{k}")
-            mag = abs(rat)
-            if mag != 1 or not factors:
-                factors.insert(0, format_rational(mag))
-            parts.append((rat < 0, "*".join(factors)))
-        return join_signed_terms(parts)
+        return render_terms(self.factor_terms())
 
     def __str__(self) -> str:
         return self.render()

@@ -250,14 +250,7 @@ class Cyclotomic:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        result = Cyclotomic.one(self.ell)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power_by_squaring(self, k, Cyclotomic.one(self.ell))
 
     def __eq__(self, other) -> bool:
         return (
@@ -269,21 +262,13 @@ class Cyclotomic:
     def __hash__(self) -> int:
         return hash((self.ell, self.coeffs))
 
+    def factor_terms(self) -> list:
+        """(rational, [zeta power]) for each nonzero coordinate, ascending;
+        the terms ``render_terms`` joins."""
+        return [(c, [power("zeta", k)] if k else []) for k, c in enumerate(self.coeffs) if c]
+
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            factors = []
-            if k == 1:
-                factors.append("zeta")
-            elif k > 1:
-                factors.append(f"zeta^{k}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, format_rational(mag))
-            parts.append((c < 0, "*".join(factors)))
-        return join_signed_terms(parts)
+        return render_terms(self.factor_terms())
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.ell}, {self})"
@@ -354,6 +339,55 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"({q.numerator}/{q.denominator})"
+
+
+def add_sparse(a: dict, b: dict) -> dict:
+    """Sum of two sparse {key: coefficient} maps; zero sums are dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            s = prev + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def power_by_squaring(base, k: int, one):
+    """``one * base^k`` for an integer k >= 0, by repeated squaring."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def power(name: str, k: int) -> str:
+    """`name` or `name^k` in the shared expression grammar."""
+    return name if k == 1 else f"{name}^{k}"
+
+
+def indexed_powers(prefix: str, exponents) -> list:
+    """`x1`, `x2^3`, ... for the nonzero exponents, in index order."""
+    return [power(f"{prefix}{j}", k) for j, k in enumerate(exponents, start=1) if k]
+
+
+def render_terms(terms) -> str:
+    """Render (rational, factors) pairs as a signed sum of products: the
+    magnitude is written only when it is not 1 or there are no factors."""
+    parts = []
+    for rat, factors in terms:
+        mag = abs(rat)
+        if mag != 1 or not factors:
+            factors = [format_rational(mag), *factors]
+        parts.append((rat < 0, "*".join(factors)))
+    return join_signed_terms(parts)
 
 
 def join_signed_terms(parts) -> str:

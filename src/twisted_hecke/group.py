@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .cyclotomic import Cyclotomic, zeta_power
+from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
 
 __all__ = [
     "GroupElem",
@@ -97,16 +97,17 @@ class GroupElem:
     def __hash__(self) -> int:
         return self._hash
 
+    def factors(self) -> list:
+        """`g3^2`, `g1`, ...: the nonzero exponents, highest index first.
+
+        The cocycle vanishes on descending products, so re-evaluating the
+        rendered text in any twisted module gives back exactly this
+        element, with no alpha correction.
+        """
+        return indexed_powers("g", self.e)[::-1]
+
     def render(self) -> str:
-        # highest index first: the cocycle vanishes on descending products,
-        # so re-evaluating the rendered text in any twisted module gives
-        # back exactly this element, with no alpha correction
-        factors = [
-            f"g{j}" if k == 1 else f"g{j}^{k}"
-            for j, k in sorted(enumerate(self.e, start=1), reverse=True)
-            if k
-        ]
-        return "*".join(factors) if factors else "1"
+        return "*".join(self.factors()) or "1"
 
     def __str__(self) -> str:
         return self.render()

@@ -19,17 +19,24 @@ Each step either lowers the inversion count at constant degree or lowers
 the degree by two, so the rewriting terminates; associativity and agreement
 with the Laurent-side embedding are checked by the test suite, which makes
 the rewriting confluent on everything we compute.
+
+Element arithmetic, the algebra plumbing and the associated graded product
+``gr_mul`` come from ``crossed``; this module adds the rewriting, w and F.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
 
 from .chebyshev import nu
-from .coeffring import ParamPoly, ParamRing
-from .cyclotomic import Cyclotomic, format_rational, join_signed_terms, zeta_power
+from .crossed import (
+    CrossedAlgebra,
+    CrossedElem,
+    Monomial,
+    crossed_mul,
+    exponents_bounded,
+)
+from .cyclotomic import Cyclotomic, zeta_power
 from .group import (
     GroupElem,
     action_char_exp,
@@ -40,22 +47,8 @@ from .group import (
 
 __all__ = ["PBWMonomial", "HeckeElem", "HeckeAlgebra", "enumerate_J"]
 
-
-class PBWMonomial(NamedTuple):
-    """x_1^(p_1) ... x_n^(p_n) g, with the factors in exactly that order."""
-
-    p: tuple
-    g: GroupElem
-
-    @property
-    def total_degree(self) -> int:
-        # filtration degree: deg(x_i) = 1, deg(g) = 0
-        return sum(self.p)
-
-
-def _mono_sort_key(mono: PBWMonomial):
-    # graded-lex, highest degree first; ties broken by x-exponents then group
-    return (-sum(mono.p), tuple(-x for x in mono.p), mono.g.e)
+# x_1^(p_1) ... x_n^(p_n) g, with the factors in exactly that order
+PBWMonomial = Monomial
 
 
 def enumerate_J(n: int) -> list[tuple]:
@@ -78,30 +71,20 @@ def enumerate_J(n: int) -> list[tuple]:
     return out
 
 
-class HeckeElem:
-    """A finite sum of PBW monomials with ParamPoly coefficients.
+def cover_complement(n: int, subset) -> tuple:
+    """delta - eps_(i_1) - ... - eps_(i_k) for an independent set: all ones,
+    with positions i and i+1 (mod n) lowered for each member i."""
+    v = [1] * n
+    for i in subset:
+        v[i - 1] -= 1
+        v[i % n] -= 1
+    return tuple(v)
 
-    Canonical sparse form: no zero coefficients.  Do not mutate ``terms``;
-    all arithmetic builds fresh dictionaries.
-    """
 
-    __slots__ = ("alg", "terms")
+class HeckeElem(CrossedElem):
+    """A finite sum of PBW monomials with ParamPoly coefficients."""
 
-    def __init__(self, alg: "HeckeAlgebra", terms: dict):
-        self.alg = alg
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def total_degree(self) -> int:
-        """Filtration degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(sum(m.p) for m in self.terms)
+    __slots__ = ()
 
     def top_part(self) -> "HeckeElem":
         """The homogeneous part of highest filtration degree."""
@@ -110,125 +93,12 @@ class HeckeElem:
             self.alg, {m: c for m, c in self.terms.items() if sum(m.p) == d}
         )
 
-    def _compat(self, other: "HeckeElem"):
-        if not self.alg.compatible(other.alg):
-            raise ValueError("elements from incompatible algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, HeckeElem):
-            return NotImplemented
-        self._compat(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = c
-            else:
-                s = prev + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return HeckeElem(self.alg, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, HeckeElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return HeckeElem(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, HeckeElem):
-            return self.alg.mul(self, other)
-        coeff = self.alg.as_coeff(other)
-        if coeff is None:
-            return NotImplemented
-        return self.scale(coeff)
-
-    def __rmul__(self, other):
-        coeff = self.alg.as_coeff(other)
-        if coeff is None:
-            return NotImplemented
-        return self.scale(coeff)
-
-    def scale(self, coeff: ParamPoly) -> "HeckeElem":
-        if coeff.is_zero():
-            return HeckeElem(self.alg, {})
-        out = {}
-        for m, c in self.terms.items():
-            v = c * coeff
-            if v:
-                out[m] = v
-        return HeckeElem(self.alg, out)
-
-    def __pow__(self, k: int) -> "HeckeElem":
-        if k < 0:
-            raise ValueError("negative power in the Hecke algebra")
-        result = self.alg.one()
-        base = self
-        while k:
-            if k & 1:
-                result = self.alg.mul(result, base)
-            base = self.alg.mul(base, base)
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElem)
-            and self.alg.compatible(other.alg)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset((m, hash(c)) for m, c in self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _mono_sort_key(item[0]))
-
     def render(self) -> str:
         """Canonical text form in the shared expression grammar."""
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            xs = [
-                f"x{j}" if k == 1 else f"x{j}^{k}"
-                for j, k in enumerate(mono.p, start=1)
-                if k
-            ]
-            # group factors highest index first: descending products are
-            # cocycle-free, so the rendering re-evaluates to this element
-            gs = [
-                f"g{j}" if k == 1 else f"g{j}^{k}"
-                for j, k in sorted(enumerate(mono.g.e, start=1), reverse=True)
-                if k
-            ]
-            for rat, zexp, texp in coeff.flat_terms():
-                factors = []
-                if zexp == 1:
-                    factors.append("zeta")
-                elif zexp > 1:
-                    factors.append(f"zeta^{zexp}")
-                for j, k in enumerate(texp, start=1):
-                    if k:
-                        factors.append(f"t{j}" if k == 1 else f"t{j}^{k}")
-                factors.extend(xs)
-                factors.extend(gs)
-                mag = abs(rat)
-                if mag != 1 or not factors:
-                    factors.insert(0, format_rational(mag))
-                parts.append((rat < 0, "*".join(factors)))
-        return join_signed_terms(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<HeckeElem {self.render()}>"
+        return self._render("x")
 
 
-class HeckeAlgebra:
+class HeckeAlgebra(CrossedAlgebra):
     """The twisted graded Hecke algebra for a fixed configuration (n, ell).
 
     ``t_values`` specializes the deformation parameters to concrete Q(zeta)
@@ -237,16 +107,10 @@ class HeckeAlgebra:
     is markedly faster than constructing fresh ones.
     """
 
+    elem_type = HeckeElem
+
     def __init__(self, n: int, ell: int, t_values=None):
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n}")
-        if ell < 2:
-            raise ValueError(f"ell must be >= 2, got {ell}")
-        self.n = n
-        self.ell = ell
-        self.ring = ParamRing(n, ell, t_values)
-        self.identity_g = GroupElem.identity(n, ell)
-        self._zero_p = (0,) * n
+        super().__init__(n, ell, t_values)
         self._insert_cache: dict = {}
         self._product_cache: dict = {}
         self._w: HeckeElem | None = None
@@ -254,67 +118,18 @@ class HeckeAlgebra:
 
     # -- construction ---------------------------------------------------
 
-    def compatible(self, other: "HeckeAlgebra") -> bool:
-        return (
-            self is other
-            or (
-                self.n == other.n
-                and self.ell == other.ell
-                and self.ring.t_values == other.ring.t_values
-            )
-        )
-
-    def as_coeff(self, value) -> ParamPoly | None:
-        if isinstance(value, ParamPoly):
-            if value.n != self.n or value.ell != self.ell:
-                raise ValueError("coefficient from an incompatible parameter ring")
-            return value
-        if isinstance(value, Cyclotomic):
-            return self.ring.from_cyclotomic(value)
-        if isinstance(value, (int, Fraction)):
-            return self.ring.from_rational(value)
-        return None
-
-    def zero(self) -> HeckeElem:
-        return HeckeElem(self, {})
-
-    def one(self) -> HeckeElem:
-        return self.monomial(self._zero_p)
-
-    def scalar(self, value) -> HeckeElem:
-        coeff = self.as_coeff(value)
-        if coeff is None:
-            raise TypeError(f"cannot interpret {value!r} as a coefficient")
-        if coeff.is_zero():
-            return self.zero()
-        return HeckeElem(self, {PBWMonomial(self._zero_p, self.identity_g): coeff})
-
     def monomial(self, p, g: GroupElem | None = None, coeff=None) -> HeckeElem:
         p = tuple(p)
-        if len(p) != self.n or any(k < 0 for k in p):
-            raise ValueError("x-exponents must be n nonnegative integers")
-        if g is None:
-            g = self.identity_g
-        c = self.ring.one() if coeff is None else self.as_coeff(coeff)
-        if c is None or c.is_zero():
-            return self.zero()
-        return HeckeElem(self, {PBWMonomial(p, g): c})
+        if any(k < 0 for k in p):
+            raise ValueError("x-exponents must be nonnegative integers")
+        return super().monomial(p, g, coeff)
 
     def gen_x(self, i: int) -> HeckeElem:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        return self.monomial(tuple(1 if j == i - 1 else 0 for j in range(self.n)))
-
-    def gen_g(self, i: int) -> HeckeElem:
-        return self.monomial(self._zero_p, GroupElem.generator(self.n, self.ell, i))
+        return self._gen_power(i, 1)
 
     def x_pow_ell(self, i: int) -> HeckeElem:
         """The central monomial x_i^ell (already in normal form)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} out of range 1..{self.n}")
-        return self.monomial(
-            tuple(self.ell if j == i - 1 else 0 for j in range(self.n))
-        )
+        return self._gen_power(i, self.ell)
 
     # -- multiplication --------------------------------------------------
 
@@ -421,33 +236,9 @@ class HeckeAlgebra:
                             del out[mono]
         return HeckeElem(self, out)
 
-    def commutator(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        return self.mul(a, b) - self.mul(b, a)
-
-    def gr_mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        """Product in the associated graded algebra: the crossed product of
-        the polynomial ring (all x commuting) with the twisted group."""
-        a._compat(b)
-        ell = self.ell
-        out: dict = {}
-        for (p, g), ca in a.terms.items():
-            for (q, h), cb in b.terms.items():
-                z = action_char_exp(g, q) + alpha_exp(g, h)
-                v = ca * cb
-                if z % ell:
-                    v = v.scale(zeta_power(ell, z))
-                mono = PBWMonomial(tuple(x + y for x, y in zip(p, q)), g * h)
-                prev = out.get(mono)
-                if prev is None:
-                    if v:
-                        out[mono] = v
-                else:
-                    s = prev + v
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return HeckeElem(self, out)
+    # product in the associated graded algebra: the crossed product of the
+    # polynomial ring (all x commuting) with the twisted group
+    gr_mul = crossed_mul
 
     # -- distinguished central elements ----------------------------------
 
@@ -473,13 +264,9 @@ class HeckeAlgebra:
                 for i in subset:
                     c, g = star_mul(g, GroupElem.generator(n, ell, i))
                     scal = scal * c
-                p = [1] * n
-                for i in subset:
-                    p[i - 1] -= 1
-                    p[i % n] -= 1
                 coeff = coeff.scale(scal)
                 if coeff:
-                    mono = PBWMonomial(tuple(p), g)
+                    mono = PBWMonomial(cover_complement(n, subset), g)
                     prev = acc.get(mono)
                     acc[mono] = coeff if prev is None else prev + coeff
             self._w = HeckeElem(self, {m: c for m, c in acc.items() if c})
@@ -538,11 +325,7 @@ class HeckeAlgebra:
             coeff = ring.one()
             for i in subset:
                 coeff = coeff * ring.tau_tilde(i)
-            a = [1] * n
-            for i in subset:
-                a[i - 1] -= 1
-                a[i % n] -= 1
-            put((tuple(a), 0), coeff)
+            put((cover_complement(n, subset), 0), coeff)
         taus = ring.tau_product()
         for r in range(ell // 2 + 1):
             scal = zeta_power(ell, (n - 2) * r) * Cyclotomic.from_rational(ell, nu(ell, r))
@@ -575,7 +358,7 @@ class HeckeAlgebra:
             if base > max_total_degree:
                 break
             smax = (max_total_degree - base) // self.ell
-            for p in _exponents_bounded(self.n, smax):
+            for p in exponents_bounded(self.n, smax):
                 prod = self.mul(
                     self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
                 )
@@ -602,11 +385,3 @@ class HeckeAlgebra:
                 return False
         return True
 
-
-def _exponents_bounded(n: int, total: int):
-    """All exponent tuples of length n with sum at most total."""
-    if total < 0:
-        return
-    for p in itertools.product(range(total + 1), repeat=n):
-        if sum(p) <= total:
-            yield p

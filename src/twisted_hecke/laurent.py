@@ -2,8 +2,10 @@
 the embedding theta of the Hecke algebra into it.
 
 The y_i commute with one another, so multiplication here never rewrites
-anything: (y^p g)(y^q h) = char(g, q) alpha(g, h) y^(p+q) (gh).  That makes
-this algebra a fast, independent oracle for the PBW rewriting engine via
+anything: (y^p g)(y^q h) = char(g, q) alpha(g, h) y^(p+q) (gh), the law
+``crossed.crossed_mul`` implements for both algebras and which is bound here
+as ``lmul``.  That makes this algebra a fast, independent oracle for the
+PBW rewriting engine via
 
     theta(x_i) = y_i - (zeta t_i / (zeta - 1)) y_(i+1)^(-1) g_i,
     theta(g)   = g,
@@ -16,264 +18,47 @@ as exact checks.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-from typing import NamedTuple
-
 from .chebyshev import nu
-from .coeffring import ParamPoly, ParamRing
-from .cyclotomic import Cyclotomic, format_rational, join_signed_terms, zeta_power
-from .group import GroupElem, action_char_exp, alpha_exp
-from .hecke import HeckeElem
+from .crossed import CrossedAlgebra, CrossedElem, Monomial, crossed_mul, exponents_bounded
+from .cyclotomic import Cyclotomic, zeta_power
+from .group import GroupElem, all_elements
+from .hecke import HeckeElem, cover_complement, enumerate_J
 
 __all__ = ["LaurentMonomial", "LaurentElem", "LaurentAlgebra"]
 
-
-class LaurentMonomial(NamedTuple):
-    """y_1^(q_1) ... y_n^(q_n) g with integer (possibly negative) exponents."""
-
-    q: tuple
-    g: GroupElem
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.q)
+# y_1^(p_1) ... y_n^(p_n) g with integer (possibly negative) exponents
+LaurentMonomial = Monomial
 
 
-def _mono_sort_key(mono: LaurentMonomial):
-    return (-sum(mono.q), tuple(-x for x in mono.q), mono.g.e)
-
-
-class LaurentElem:
+class LaurentElem(CrossedElem):
     """A finite sum of Laurent monomials with ParamPoly coefficients."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: "LaurentAlgebra", terms: dict):
-        self.alg = alg
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m.q) for m in self.terms)
-
-    def _compat(self, other: "LaurentElem"):
-        if not self.alg.compatible(other.alg):
-            raise ValueError("elements from incompatible algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentElem):
-            return NotImplemented
-        self._compat(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = c
-            else:
-                s = prev + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return LaurentElem(self.alg, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentElem(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentElem):
-            return self.alg.lmul(self, other)
-        coeff = self.alg.as_coeff(other)
-        if coeff is None:
-            return NotImplemented
-        return self.scale(coeff)
-
-    def __rmul__(self, other):
-        coeff = self.alg.as_coeff(other)
-        if coeff is None:
-            return NotImplemented
-        return self.scale(coeff)
-
-    def scale(self, coeff: ParamPoly) -> "LaurentElem":
-        if coeff.is_zero():
-            return LaurentElem(self.alg, {})
-        out = {}
-        for m, c in self.terms.items():
-            v = c * coeff
-            if v:
-                out[m] = v
-        return LaurentElem(self.alg, out)
-
-    def __pow__(self, k: int) -> "LaurentElem":
-        if k < 0:
-            raise ValueError("general Laurent elements are not invertible here")
-        result = self.alg.one()
-        base = self
-        while k:
-            if k & 1:
-                result = self.alg.lmul(result, base)
-            base = self.alg.lmul(base, base)
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentElem)
-            and self.alg.compatible(other.alg)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset((m, hash(c)) for m, c in self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _mono_sort_key(item[0]))
+    __slots__ = ()
 
     def render(self) -> str:
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            ys = [
-                f"y{j}" if k == 1 else f"y{j}^{k}"
-                for j, k in enumerate(mono.q, start=1)
-                if k
-            ]
-            # descending group factors re-evaluate with no cocycle factor
-            gs = [
-                f"g{j}" if k == 1 else f"g{j}^{k}"
-                for j, k in sorted(enumerate(mono.g.e, start=1), reverse=True)
-                if k
-            ]
-            for rat, zexp, texp in coeff.flat_terms():
-                factors = []
-                if zexp == 1:
-                    factors.append("zeta")
-                elif zexp > 1:
-                    factors.append(f"zeta^{zexp}")
-                for j, k in enumerate(texp, start=1):
-                    if k:
-                        factors.append(f"t{j}" if k == 1 else f"t{j}^{k}")
-                factors.extend(ys)
-                factors.extend(gs)
-                mag = abs(rat)
-                if mag != 1 or not factors:
-                    factors.insert(0, format_rational(mag))
-                parts.append((rat < 0, "*".join(factors)))
-        return join_signed_terms(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<LaurentElem {self.render()}>"
+        return self._render("y")
 
 
-class LaurentAlgebra:
+class LaurentAlgebra(CrossedAlgebra):
     """C[y_1^+-, ..., y_n^+-] crossed with G, twisted by the same cocycle."""
 
+    elem_type = LaurentElem
+
     def __init__(self, n: int, ell: int, t_values=None):
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n}")
-        if ell < 2:
-            raise ValueError(f"ell must be >= 2, got {ell}")
-        self.n = n
-        self.ell = ell
-        self.ring = ParamRing(n, ell, t_values)
-        self.identity_g = GroupElem.identity(n, ell)
-        self._zero_q = (0,) * n
+        super().__init__(n, ell, t_values)
         self._theta_x: dict[int, LaurentElem] = {}
         self._theta_x_pows: dict = {}
         self._theta_mono: dict = {}
 
-    def compatible(self, other: "LaurentAlgebra") -> bool:
-        return self is other or (
-            self.n == other.n
-            and self.ell == other.ell
-            and self.ring.t_values == other.ring.t_values
-        )
-
-    def as_coeff(self, value) -> ParamPoly | None:
-        if isinstance(value, ParamPoly):
-            if value.n != self.n or value.ell != self.ell:
-                raise ValueError("coefficient from an incompatible parameter ring")
-            return value
-        if isinstance(value, Cyclotomic):
-            return self.ring.from_cyclotomic(value)
-        if isinstance(value, (int, Fraction)):
-            return self.ring.from_rational(value)
-        return None
-
-    def zero(self) -> LaurentElem:
-        return LaurentElem(self, {})
-
-    def one(self) -> LaurentElem:
-        return self.monomial(self._zero_q)
-
-    def scalar(self, value) -> LaurentElem:
-        coeff = self.as_coeff(value)
-        if coeff is None:
-            raise TypeError(f"cannot interpret {value!r} as a coefficient")
-        if coeff.is_zero():
-            return self.zero()
-        return LaurentElem(self, {LaurentMonomial(self._zero_q, self.identity_g): coeff})
-
-    def monomial(self, q, g: GroupElem | None = None, coeff=None) -> LaurentElem:
-        q = tuple(q)
-        if len(q) != self.n:
-            raise ValueError(f"y-exponents must have length {self.n}")
-        if g is None:
-            g = self.identity_g
-        c = self.ring.one() if coeff is None else self.as_coeff(coeff)
-        if c is None or c.is_zero():
-            return self.zero()
-        return LaurentElem(self, {LaurentMonomial(q, g): c})
-
     def gen_y(self, i: int, k: int = 1) -> LaurentElem:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} out of range 1..{self.n}")
-        return self.monomial(tuple(k if j == i - 1 else 0 for j in range(self.n)))
+        return self._gen_power(i, k)
 
-    def gen_g(self, i: int) -> LaurentElem:
-        return self.monomial(self._zero_q, GroupElem.generator(self.n, self.ell, i))
+    lmul = crossed_mul
 
-    def lmul(self, a: LaurentElem, b: LaurentElem) -> LaurentElem:
-        """(y^p g)(y^q h) = char(g,q) alpha(g,h) y^(p+q) (gh), bilinearly."""
-        a._compat(b)
-        ell = self.ell
-        out: dict = {}
-        for (p, g), ca in a.terms.items():
-            for (q, h), cb in b.terms.items():
-                z = action_char_exp(g, q) + alpha_exp(g, h)
-                v = ca * cb
-                if z % ell:
-                    v = v.scale(zeta_power(ell, z))
-                mono = LaurentMonomial(tuple(x + y for x, y in zip(p, q)), g * h)
-                prev = out.get(mono)
-                if prev is None:
-                    if v:
-                        out[mono] = v
-                else:
-                    s = prev + v
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return LaurentElem(self, out)
-
-    def commutator(self, a: LaurentElem, b: LaurentElem) -> LaurentElem:
-        return self.lmul(a, b) - self.lmul(b, a)
+    def mul(self, a: LaurentElem, b: LaurentElem) -> LaurentElem:
+        # looked up at call time, so products through * and ** reach the
+        # current binding of lmul
+        return self.lmul(a, b)
 
     # -- the embedding ----------------------------------------------------
 
@@ -287,13 +72,9 @@ class LaurentAlgebra:
         n, ell, ring = self.n, self.ell, self.ring
         zeta = zeta_power(ell, 1)
         coeff = ring.t(i).scale(-(zeta * (zeta - 1).inv()))
-        q_top = tuple(1 if j == i - 1 else 0 for j in range(n))
         q_low = tuple(-1 if j == i % n else 0 for j in range(n))
         gi = GroupElem.generator(n, ell, i)
-        terms = {LaurentMonomial(q_top, self.identity_g): ring.one()}
-        if coeff:
-            terms[LaurentMonomial(q_low, gi)] = coeff
-        result = LaurentElem(self, terms)
+        result = self.gen_y(i) + self.monomial(q_low, gi, coeff)
         self._theta_x[i] = result
         return result
 
@@ -323,17 +104,13 @@ class LaurentAlgebra:
         theta(x_1)^(p_1) ... theta(x_n)^(p_n) g, extended linearly."""
         if not isinstance(a, HeckeElem):
             raise TypeError("theta expects a Hecke element")
-        if (
-            a.alg.n != self.n
-            or a.alg.ell != self.ell
-            or a.alg.ring.t_values != self.ring.t_values
-        ):
+        if not self.ring.same_parameters(a.alg.ring):
             raise ValueError("Hecke element from an incompatible configuration")
         total = self.zero()
         for (p, g), c in a.terms.items():
             img = self._theta_monomial(p)
             if not g.is_identity():
-                img = self.lmul(img, self.monomial(self._zero_q, g))
+                img = self.lmul(img, self.monomial(self._zero_p, g))
             total = total + img.scale(c)
         return total
 
@@ -344,45 +121,32 @@ class LaurentAlgebra:
         for i = n the coefficient tau~_n carries the sign (-1)^(n(ell-1))."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        n, ell, ring = self.n, self.ell, self.ring
-        q_top = tuple(ell if j == i - 1 else 0 for j in range(n))
+        n, ell = self.n, self.ell
         q_low = tuple(-ell if j == i % n else 0 for j in range(n))
-        terms = {LaurentMonomial(q_top, self.identity_g): ring.one()}
-        coeff = -ring.tau_tilde(i)
-        if coeff:
-            terms[LaurentMonomial(q_low, self.identity_g)] = coeff
-        return LaurentElem(self, terms)
+        return self.gen_y(i, ell) + self.monomial(q_low, None, -self.ring.tau_tilde(i))
 
     def theta_w_closed(self) -> LaurentElem:
         """Closed form of theta(w):
         y_1...y_n + (-1)^n zeta^(n-2) tau_1...tau_n (y_1...y_n)^(-1)."""
-        n, ell, ring = self.n, self.ell, self.ring
-        scal = zeta_power(ell, n - 2)
+        n = self.n
+        scal = zeta_power(self.ell, n - 2)
         if n % 2:
             scal = -scal
-        coeff = ring.tau_product().scale(scal)
-        terms = {LaurentMonomial((1,) * n, self.identity_g): ring.one()}
-        if coeff:
-            terms[LaurentMonomial((-1,) * n, self.identity_g)] = coeff
-        return LaurentElem(self, terms)
+        coeff = self.ring.tau_product().scale(scal)
+        return self.monomial((1,) * n) + self.monomial((-1,) * n, None, coeff)
 
     def _power_sum_rhs(self) -> LaurentElem:
         # (y_1...y_n)^ell + (-1)^(n ell) (tau_1...tau_n)^ell (y_1...y_n)^(-ell)
-        n, ell, ring = self.n, self.ell, self.ring
-        coeff = ring.tau_product() ** ell
+        n, ell = self.n, self.ell
+        coeff = self.ring.tau_product() ** ell
         if (n * ell) % 2:
             coeff = -coeff
-        terms = {LaurentMonomial((ell,) * n, self.identity_g): ring.one()}
-        if coeff:
-            terms[LaurentMonomial((-ell,) * n, self.identity_g)] = coeff
-        return LaurentElem(self, terms)
+        return self.monomial((ell,) * n) + self.monomial((-ell,) * n, None, coeff)
 
     def leftside_identity_check(self) -> bool:
         """sum over independent sets of tau~ products times products of the
         closed forms theta(x_i^ell) equals
         (y_1..y_n)^ell + (-1)^(n ell) (tau_1..tau_n)^ell (y_1..y_n)^(-ell)."""
-        from .hecke import enumerate_J
-
         ring = self.ring
         closed = {i: self.theta_xi_ell_closed(i) for i in range(1, self.n + 1)}
         total = self.zero()
@@ -390,10 +154,7 @@ class LaurentAlgebra:
             coeff = ring.one()
             for i in subset:
                 coeff = coeff * ring.tau_tilde(i)
-            v = [1] * self.n
-            for i in subset:
-                v[i - 1] -= 1
-                v[i % self.n] -= 1
+            v = cover_complement(self.n, subset)
             prod = self.one()
             for i in range(1, self.n + 1):
                 if v[i - 1]:
@@ -424,16 +185,13 @@ class LaurentAlgebra:
         coefficient exactly one and every other term has strictly smaller
         total degree."""
         one = self.ring.one()
-        for p in itertools.product(range(max_degree + 1), repeat=self.n):
+        for p in exponents_bounded(self.n, max_degree):
             d = sum(p)
-            if d > max_degree:
-                continue
             img_p = self._theta_monomial(p)
-            for e in itertools.product(range(self.ell), repeat=self.n - 1):
-                g = GroupElem(self.n, self.ell, e)
+            for g in all_elements(self.n, self.ell):
                 img = img_p
                 if not g.is_identity():
-                    img = self.lmul(img_p, self.monomial(self._zero_q, g))
+                    img = self.lmul(img_p, self.monomial(self._zero_p, g))
                 lead = img.terms.get(LaurentMonomial(p, g))
                 if lead != one:
                     return False

@@ -63,6 +63,9 @@ class Config:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
         if self.t_values is not None and len(self.t_values) != self.n:
             raise ValueError(f"expected {self.n} parameter values")
+        if self.degree_bound < 0:
+            # a negative bound leaves the finite-evidence checks nothing to examine
+            raise ValueError(f"degree_bound must be >= 0, got {self.degree_bound}")
 
     def describe(self) -> dict:
         t = "sym" if self.t_values is None else [str(v) for v in self.t_values]

@@ -162,3 +162,29 @@ def test_render_golden(pair32):
     H, L = pair32
     assert L.theta(H.gen_x(1)).render() == "y1 - (1/2)*t1*y2^-1*g1"
     assert L.gen_y(1, -1).render() == "y1^-1"
+
+
+def test_elements_of_the_two_algebras_never_mix(pair32):
+    H, L = pair32
+    assert H.one().terms == L.one().terms
+    assert H.one() != L.one()
+    with pytest.raises(TypeError) as add:
+        H.one() + L.one()
+    assert str(add.value) == "unsupported operand type(s) for +: 'HeckeElem' and 'LaurentElem'"
+    with pytest.raises(TypeError) as mul:
+        H.one() * L.one()
+    assert str(mul.value) == "unsupported operand type(s) for *: 'HeckeElem' and 'LaurentElem'"
+
+
+def test_specialized_and_symbolic_elements_never_mix(pair32):
+    H, _ = pair32
+    Hs = HeckeAlgebra(3, 2, tuple(Cyclotomic.one(2) for _ in range(3)))
+    with pytest.raises(ValueError, match="^elements from incompatible algebras$"):
+        H.one() + Hs.one()
+
+
+def test_render_golden_theta_w():
+    H, L = HeckeAlgebra(4, 3), LaurentAlgebra(4, 3)
+    assert L.theta(H.build_w()).render() == (
+        "y1*y2*y3*y4 + (1/9)*zeta*t1*t2*t3*t4*y1^-1*y2^-1*y3^-1*y4^-1"
+    )

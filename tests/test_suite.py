@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from twisted_hecke import crossed, hecke, laurent
 from twisted_hecke.cli import main
 from twisted_hecke.cyclotomic import Cyclotomic
+from twisted_hecke.hecke import HeckeAlgebra
+from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import (
     Config,
     all_passed,
@@ -105,8 +108,6 @@ def test_failures_carry_witnesses():
     # break a check on purpose by asking for an impossible configuration:
     # a specialized ring where the noncentrality witness check must fail
     # is not constructible, so instead check the witness plumbing directly
-    from twisted_hecke.hecke import HeckeAlgebra
-
     H = HeckeAlgebra(3, 2)
     ok, witness = H.is_central(H.gen_x(1))
     assert not ok and witness.render() == "t1*g1"
@@ -126,6 +127,28 @@ def test_config_validation():
         Config(n=3, ell=1)
     with pytest.raises(ValueError):
         Config(n=3, ell=2, t_values=(Cyclotomic.zero(2),))
+    with pytest.raises(ValueError, match="degree_bound"):
+        Config(n=3, ell=2, degree_bound=-1)
+
+
+def test_degree_bound_zero_examines_cases(monkeypatch):
+    # the smallest accepted bound still leaves both finite-evidence checks
+    # a monomial to examine
+    examined = []
+
+    def recording(n, total):
+        for p in crossed.exponents_bounded(n, total):
+            examined.append(p)
+            yield p
+
+    monkeypatch.setattr(hecke, "exponents_bounded", recording)
+    monkeypatch.setattr(laurent, "exponents_bounded", recording)
+    assert HeckeAlgebra(3, 2).pbw_independence_evidence(0)
+    assert examined == [(0, 0, 0)]
+    assert LaurentAlgebra(3, 2).injectivity_spotcheck(0)
+    assert examined == [(0, 0, 0)] * 2
+    by_name = {r.name: r.status for r in run_suite(Config(n=3, ell=2, degree_bound=0))}
+    assert by_name["pbw-independence"] == by_name["injectivity-spotcheck"] == "pass"
 
 
 # -- CLI ------------------------------------------------------------------
@@ -171,3 +194,22 @@ def test_cli_grid_with_points(capsys, tmp_path):
     assert report["summary"]["ok"] is True
     err = capsys.readouterr().err
     assert "(n=3, ell=2)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--points", "3:x"],
+        ["verify", "--n", "2", "--ell", "3"],
+        ["normalize", "--n", "3", "--ell", "1", "x1"],
+        ["verify", "--n", "3", "--ell", "2", "--t", "1,2"],
+        ["normalize", "--n", "3", "--ell", "2", "x9"],
+        ["verify", "--n", "3", "--ell", "2", "--degree-bound", "-1"],
+    ],
+)
+def test_cli_bad_input_is_one_line_and_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
