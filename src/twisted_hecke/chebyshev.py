@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import add_sparse, power_by_squaring
+from .cyclotomic import add_sparse, power, power_by_squaring, render_terms
 
 __all__ = [
     "IntPoly",
@@ -103,23 +103,10 @@ class IntPoly:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            if i:
-                factors.append("xi" if i == 1 else f"xi^{i}")
-            if j:
-                factors.append("s" if j == 1 else f"s^{j}")
-            if abs(c) != 1 or not factors:
-                factors.insert(0, str(abs(c)))
-            bits.append(("-" if c < 0 else "+", "*".join(factors)))
-        sign, first = bits[0]
-        text = (sign if sign == "-" else "") + first
-        for sign, term in bits[1:]:
-            text += f" {sign} {term}"
-        return text
+        return render_terms(
+            (c, [power(name, k) for name, k in (("xi", i), ("s", j)) if k])
+            for (i, j), c in sorted(self.terms.items(), reverse=True)
+        )
 
     __repr__ = __str__
 

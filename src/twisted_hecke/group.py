@@ -18,7 +18,6 @@ which a group element acts on a monomial with a given exponent vector.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
 
@@ -160,64 +159,27 @@ def all_elements(n: int, ell: int):
         yield GroupElem(n, ell, e)
 
 
-EXHAUSTIVE_LIMIT = 10_000
+def cocycle_identity_holds(n: int, ell: int) -> bool:
+    """Check alpha(g,h)*alpha(gh,k) == alpha(h,k)*alpha(g,hk) on all of G.
 
+    Exact and exhaustive through one sweep over the |G|^2 pairs.  With the
+    Gram matrix A_kl = alpha_exp(g_k, g_l) on the generators g_1..g_(n-1),
+    the sweep checks alpha_exp(g^e, g^f) == sum_(k,l) e_k f_l A_kl (mod ell)
+    for every pair, each value taken from ``alpha_exp`` itself (the function
+    ``crossed_mul`` uses).  Agreement on all pairs makes the exponent of
+    alpha a bilinear form B on G, and any bilinear B satisfies
 
-def cocycle_identity_holds(n: int, ell: int, seed: int = 0, samples: int = 4000) -> bool:
-    """Check alpha(g,h)*alpha(gh,k) == alpha(h,k)*alpha(g,hk).
+        B(g,h) + B(g+h,k) = B(g,h) + B(g,k) + B(h,k) = B(h,k) + B(g,h+k),
 
-    Exhaustive over all triples when the group order ell^(n-1) is at most
-    EXHAUSTIVE_LIMIT (the pair table is built through ``alpha_exp`` and the
-    triple sweep is vectorized); otherwise a seeded random sample of triples
-    is tested directly.
+    which is the cocycle identity on all |G|^3 triples.
     """
-    order = ell ** (n - 1)
-    if order <= EXHAUSTIVE_LIMIT:
-        import numpy as np
-
-        exps = np.array(
-            list(itertools.product(range(ell), repeat=n - 1)), dtype=np.int64
-        )
-        size = order
-        if size <= 256:
-            # desk scale: build the whole pair table through alpha_exp itself
-            elems = [GroupElem(n, ell, tuple(e)) for e in exps]
-            pair = np.empty((size, size), dtype=np.int64)
-            for a, ga in enumerate(elems):
-                for b, gb in enumerate(elems):
-                    pair[a, b] = alpha_exp(ga, gb)
-        else:
-            # vectorized table, spot-validated against alpha_exp
-            pair = -(exps[:, :-1] @ exps[:, 1:].T)
-            rng = random.Random(seed)
-            for _ in range(512):
-                a, b = rng.randrange(size), rng.randrange(size)
-                ga = GroupElem(n, ell, tuple(exps[a]))
-                gb = GroupElem(n, ell, tuple(exps[b]))
-                if pair[a, b] != alpha_exp(ga, gb):
-                    return False
-        weights = np.array([ell**j for j in range(n - 1)], dtype=np.int64)
-        index = np.empty(size, dtype=np.int64)
-        index[exps @ weights] = np.arange(size)
-        prod = np.empty((size, size), dtype=np.int32)
-        for a in range(size):
-            prod[a] = index[((exps[a] + exps) % ell) @ weights]
-        for a in range(size):
-            lhs = pair[a][:, None] + pair[prod[a], :]
-            rhs = pair + pair[a][prod]
-            if ((lhs - rhs) % ell).any():
+    gens = [GroupElem.generator(n, ell, i) for i in range(1, n)]
+    gram = [[alpha_exp(a, b) for b in gens] for a in gens]
+    elems = list(all_elements(n, ell))
+    for g in elems:
+        # row_l = sum_k e_k A_kl, so the bilinear value at (g, h) is row . f
+        row = [sum(ek * col[l] for ek, col in zip(g.e, gram)) for l in range(n - 1)]
+        for h in elems:
+            if (alpha_exp(g, h) - sum(r * f for r, f in zip(row, h.e))) % ell:
                 return False
-        return True
-
-    rng = random.Random(seed)
-    elems = None
-    for _ in range(samples):
-        g, h, k = (
-            GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
-            for _ in range(3)
-        )
-        lhs = alpha_exp(g, h) + alpha_exp(g * h, k)
-        rhs = alpha_exp(h, k) + alpha_exp(g, h * k)
-        if (lhs - rhs) % ell:
-            return False
     return True

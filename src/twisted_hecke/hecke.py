@@ -81,6 +81,33 @@ def cover_complement(n: int, subset) -> tuple:
     return tuple(v)
 
 
+def relation_a_terms(ring) -> list:
+    """The a-part of the center relation F: (delta - sum of eps_i,
+    product of tau~_i) for each independent set of the n-cycle, in
+    ``enumerate_J`` order."""
+    out = []
+    for subset in enumerate_J(ring.n):
+        coeff = ring.one()
+        for i in subset:
+            coeff = coeff * ring.tau_tilde(i)
+        out.append((cover_complement(ring.n, subset), coeff))
+    return out
+
+
+def relation_b_terms(ring) -> list:
+    """The b-part of F without its sign: (ell - 2r,
+    (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r) for 0 <= r <= ell/2."""
+    n, ell = ring.n, ring.ell
+    taus = ring.tau_product()
+    out = []
+    for r in range(ell // 2 + 1):
+        scal = zeta_power(ell, (n - 2) * r) * Cyclotomic.from_rational(ell, nu(ell, r))
+        if (n * r) % 2:
+            scal = -scal
+        out.append((ell - 2 * r, (taus**r).scale(scal)))
+    return out
+
+
 class HeckeElem(CrossedElem):
     """A finite sum of PBW monomials with ParamPoly coefficients."""
 
@@ -310,7 +337,6 @@ class HeckeAlgebra(CrossedAlgebra):
                 a^(delta - sum of eps)
               - sum_r (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r b^(ell-2r)
         """
-        n, ell, ring = self.n, self.ell, self.ring
         terms: dict = {}
 
         def put(key, coeff):
@@ -321,17 +347,11 @@ class HeckeAlgebra(CrossedAlgebra):
             elif prev is not None:
                 del terms[key]
 
-        for subset in enumerate_J(n):
-            coeff = ring.one()
-            for i in subset:
-                coeff = coeff * ring.tau_tilde(i)
-            put((cover_complement(n, subset), 0), coeff)
-        taus = ring.tau_product()
-        for r in range(ell // 2 + 1):
-            scal = zeta_power(ell, (n - 2) * r) * Cyclotomic.from_rational(ell, nu(ell, r))
-            if (n * r) % 2:
-                scal = -scal
-            put(((0,) * n, ell - 2 * r), -(taus**r).scale(scal))
+        # the two parts share the key ((0,...,0), 0) at even n and even ell
+        for a, coeff in relation_a_terms(self.ring):
+            put((a, 0), coeff)
+        for bexp, coeff in relation_b_terms(self.ring):
+            put((self._zero_p, bexp), -coeff)
         return terms
 
     def evaluate_F(self) -> HeckeElem:

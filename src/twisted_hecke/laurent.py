@@ -18,11 +18,10 @@ as exact checks.
 
 from __future__ import annotations
 
-from .chebyshev import nu
 from .crossed import CrossedAlgebra, CrossedElem, Monomial, crossed_mul, exponents_bounded
-from .cyclotomic import Cyclotomic, zeta_power
-from .group import GroupElem, all_elements
-from .hecke import HeckeElem, cover_complement, enumerate_J
+from .cyclotomic import zeta_power
+from .group import GroupElem
+from .hecke import HeckeElem, relation_a_terms, relation_b_terms
 
 __all__ = ["LaurentMonomial", "LaurentElem", "LaurentAlgebra"]
 
@@ -147,14 +146,9 @@ class LaurentAlgebra(CrossedAlgebra):
         """sum over independent sets of tau~ products times products of the
         closed forms theta(x_i^ell) equals
         (y_1..y_n)^ell + (-1)^(n ell) (tau_1..tau_n)^ell (y_1..y_n)^(-ell)."""
-        ring = self.ring
         closed = {i: self.theta_xi_ell_closed(i) for i in range(1, self.n + 1)}
         total = self.zero()
-        for subset in enumerate_J(self.n):
-            coeff = ring.one()
-            for i in subset:
-                coeff = coeff * ring.tau_tilde(i)
-            v = cover_complement(self.n, subset)
+        for v, coeff in relation_a_terms(self.ring):
             prod = self.one()
             for i in range(1, self.n + 1):
                 if v[i - 1]:
@@ -165,37 +159,35 @@ class LaurentAlgebra(CrossedAlgebra):
     def rightside_identity_check(self) -> bool:
         """sum_r (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r bt^(ell-2r),
         with bt the closed form of theta(w), equals the same right side."""
-        n, ell, ring = self.n, self.ell, self.ring
         bt = self.theta_w_closed()
         bt_pows = {0: self.one()}
-        for k in range(1, ell + 1):
+        for k in range(1, self.ell + 1):
             bt_pows[k] = self.lmul(bt_pows[k - 1], bt)
-        taus = ring.tau_product()
         total = self.zero()
-        for r in range(ell // 2 + 1):
-            scal = zeta_power(ell, (n - 2) * r) * Cyclotomic.from_rational(ell, nu(ell, r))
-            if (n * r) % 2:
-                scal = -scal
-            total = total + bt_pows[ell - 2 * r].scale((taus**r).scale(scal))
+        for bexp, coeff in relation_b_terms(self.ring):
+            total = total + bt_pows[bexp].scale(coeff)
         return total == self._power_sum_rhs()
 
     def injectivity_spotcheck(self, max_degree: int) -> bool:
         """Triangularity evidence: for every PBW monomial x^p g of total
         degree at most max_degree, theta(x^p g) contains y^p g with
         coefficient exactly one and every other term has strictly smaller
-        total degree."""
+        total degree.
+
+        Only g = 1 is examined, which decides every g: theta(x^p g) is
+        theta(x^p) times y^0 g, and right multiplication by y^0 g sends each
+        term c y^q h to alpha(h, g) c y^q (hg).  That map is injective on
+        monomials, keeps every degree and scales every coefficient by a root
+        of unity, and the leading term y^p 1 picks up alpha(1, g) = 1.
+        """
         one = self.ring.one()
         for p in exponents_bounded(self.n, max_degree):
             d = sum(p)
-            img_p = self._theta_monomial(p)
-            for g in all_elements(self.n, self.ell):
-                img = img_p
-                if not g.is_identity():
-                    img = self.lmul(img_p, self.monomial(self._zero_p, g))
-                lead = img.terms.get(LaurentMonomial(p, g))
-                if lead != one:
+            lead = LaurentMonomial(p, self.identity_g)
+            img = self._theta_monomial(p)
+            if img.terms.get(lead) != one:
+                return False
+            for mono in img.terms:
+                if mono.total_degree >= d and mono != lead:
                     return False
-                for mono in img.terms:
-                    if mono.total_degree >= d and mono != LaurentMonomial(p, g):
-                        return False
         return True

@@ -172,7 +172,7 @@ def run_suite(cfg: Config) -> list[CheckResult]:
             results.append(CheckResult(name, "fail", witness or "(no witness)", ms))
 
     def cocycle():
-        ok = cocycle_identity_holds(n, ell, seed=cfg.seed)
+        ok = cocycle_identity_holds(n, ell)
         return ok, None if ok else f"cocycle identity violated for (n={n}, ell={ell})"
 
     check("cocycle-identity", cocycle)

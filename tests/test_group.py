@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twisted_hecke import group
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.group import (
     GroupElem,
@@ -13,7 +14,6 @@ from twisted_hecke.group import (
     action_char_exp,
     all_elements,
     alpha,
-    alpha_exp,
     cocycle_identity_holds,
     star_mul,
     star_power,
@@ -125,24 +125,39 @@ def test_action_char_of_g_n():
     assert action_char(gn, (1, 0, 0, 0, 0)) == zeta_power(ell, -1)
 
 
+def cocycle_holds_on_triples(n, ell):
+    """Independent brute force over all |G|^3 triples, through the current
+    binding of ``group.alpha_exp``: the reference the pair sweep replaces."""
+    a = group.alpha_exp
+    elems = list(all_elements(n, ell))
+    for g, h, k in itertools.product(elems, repeat=3):
+        if (a(g, h) + a(g * h, k) - a(h, k) - a(g, h * k)) % ell:
+            return False
+    return True
+
+
+SMALL_GROUPS = [(3, 2), (3, 3), (4, 2), (3, 4)]
+
+
 def test_cocycle_identity_small_groups_brute_force():
-    # independent brute force over all triples, directly through alpha_exp
-    for n, ell in [(3, 2), (3, 3), (4, 2)]:
-        elems = list(all_elements(n, ell))
-        for g, h, k in itertools.product(elems, repeat=3):
-            lhs = alpha_exp(g, h) + alpha_exp(g * h, k)
-            rhs = alpha_exp(h, k) + alpha_exp(g, h * k)
-            assert (lhs - rhs) % ell == 0
+    for n, ell in SMALL_GROUPS:
+        assert cocycle_holds_on_triples(n, ell), (n, ell)
+        assert cocycle_identity_holds(n, ell), (n, ell)
 
 
-@pytest.mark.parametrize("n,ell", [(3, 4), (4, 3), (4, 4), (5, 3)])
+@pytest.mark.parametrize("n,ell", SMALL_GROUPS)
+def test_cocycle_checks_reject_a_non_cocycle(n, ell, monkeypatch):
+    # alpha_exp plus 1 at (g_1, g_1) alone is no longer a cocycle
+    g1 = gen(n, ell, 1)
+    real = group.alpha_exp
+    monkeypatch.setattr(group, "alpha_exp", lambda g, h: real(g, h) + (g == g1 == h))
+    assert not cocycle_holds_on_triples(n, ell)
+    assert not cocycle_identity_holds(n, ell)
+
+
+@pytest.mark.parametrize("n,ell", [(3, 4), (4, 3), (4, 4), (5, 3), (4, 7)])
 def test_cocycle_identity_checker(n, ell):
     assert cocycle_identity_holds(n, ell)
-
-
-def test_cocycle_identity_randomized_fallback():
-    # group order 7^5 > 10^4 forces the sampled path
-    assert cocycle_identity_holds(6, 7, seed=7, samples=500)
 
 
 exps = st.integers(min_value=-3, max_value=6)

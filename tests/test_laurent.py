@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
-from twisted_hecke.group import GroupElem
+from twisted_hecke.group import GroupElem, all_elements
 from twisted_hecke.hecke import HeckeAlgebra
 from twisted_hecke.laurent import LaurentAlgebra, LaurentMonomial
 from twisted_hecke.suite import random_hecke_elem
@@ -141,6 +142,49 @@ def test_closed_forms_are_central_in_laurent(pair43):
 def test_injectivity_spotcheck(pair32):
     _, L = pair32
     assert L.injectivity_spotcheck(3)
+
+
+def injectivity_all_g(L, max_degree):
+    """The check at every group element, as it was before the reduction to
+    g = 1: the reference ``injectivity_spotcheck`` must agree with."""
+    one = L.ring.one()
+    for p in exponents_bounded(L.n, max_degree):
+        d = sum(p)
+        img_p = L._theta_monomial(p)
+        for g in all_elements(L.n, L.ell):
+            img = img_p
+            if not g.is_identity():
+                img = L.lmul(img_p, L.monomial(L._zero_p, g))
+            lead = LaurentMonomial(p, g)
+            if img.terms.get(lead) != one:
+                return False
+            for mono in img.terms:
+                if mono.total_degree >= d and mono != lead:
+                    return False
+    return True
+
+
+INJECTIVITY_POINTS = [(3, 2), (3, 3), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("n,ell", INJECTIVITY_POINTS)
+def test_injectivity_at_identity_agrees_with_every_g(n, ell):
+    L = LaurentAlgebra(n, ell)
+    assert L.injectivity_spotcheck(3)
+    assert injectivity_all_g(L, 3)
+
+
+@pytest.mark.parametrize("n,ell", INJECTIVITY_POINTS)
+def test_injectivity_checks_reject_a_same_degree_term(n, ell, monkeypatch):
+    # theta(x^p) gains y^p g_1, a second term of the leading degree
+    real = LaurentAlgebra._theta_monomial
+    g1 = GroupElem.generator(n, ell, 1)
+    monkeypatch.setattr(
+        LaurentAlgebra, "_theta_monomial", lambda L, p: real(L, p) + L.monomial(p, g1)
+    )
+    L = LaurentAlgebra(n, ell)
+    assert not L.injectivity_spotcheck(3)
+    assert not injectivity_all_g(L, 3)
 
 
 def test_theta_leading_terms(pair32):

@@ -1,6 +1,10 @@
 """The verification suite and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,26 @@ def test_suite_is_deterministic(results32):
     assert [(r.name, r.status, r.witness) for r in again] == [
         (r.name, r.status, r.witness) for r in results32
     ]
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from twisted_hecke.group import cocycle_identity_holds
+from twisted_hecke.suite import Config, run_suite
+statuses = {r.status for r in run_suite(Config(n=3, ell=2))}
+print(statuses, cocycle_identity_holds(4, 7))
+"""
+
+
+def test_runs_without_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["{'pass'}", "True"]
 
 
 def test_sklyanin_skipped_off_n3():
