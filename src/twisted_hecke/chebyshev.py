@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import add_sparse, power, power_by_squaring, render_terms
+from .cyclotomic import accumulate, add_sparse, power, power_by_squaring, render_terms
 
 __all__ = [
     "IntPoly",
@@ -75,12 +75,7 @@ class IntPoly:
         out: dict = {}
         for (i, j), a in self.terms.items():
             for (k, l), b in other.terms.items():
-                key = (i + k, j + l)
-                s = out.get(key, _F0) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (i + k, j + l), a * b)
         return IntPoly(out)
 
     __rmul__ = __mul__

@@ -22,16 +22,16 @@ from fractions import Fraction
 
 from .cyclotomic import (
     Cyclotomic,
+    accumulate,
     add_sparse,
     indexed_powers,
     power_by_squaring,
     render_terms,
     zeta_power,
 )
+from .group import check_bounds
 
 __all__ = ["ParamPoly", "ParamRing"]
-
-MAX_PARAMS = 16
 
 
 class ParamPoly:
@@ -101,17 +101,7 @@ class ParamPoly:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = c
-                else:
-                    s = prev + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
+                accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return ParamPoly(self.n, self.ell, out, _canonical=True)
 
     def __rmul__(self, other):
@@ -214,10 +204,7 @@ class ParamRing:
     __slots__ = ("n", "ell", "t_values", "_one", "_zero", "_zeta")
 
     def __init__(self, n: int, ell: int, t_values=None):
-        if not 1 <= n <= MAX_PARAMS:
-            raise ValueError(f"n must be between 1 and {MAX_PARAMS}, got {n}")
-        if ell < 2:
-            raise ValueError(f"ell must be >= 2, got {ell}")
+        check_bounds(n, ell)
         self.n = n
         self.ell = ell
         if t_values is not None:

@@ -22,13 +22,14 @@ from typing import NamedTuple
 from .coeffring import ParamPoly, ParamRing
 from .cyclotomic import (
     Cyclotomic,
+    accumulate,
     add_sparse,
     indexed_powers,
     power_by_squaring,
     render_terms,
     zeta_power,
 )
-from .group import GroupElem, action_char_exp, alpha_exp
+from .group import GroupElem, action_char_exp, alpha_exp, check_bounds
 
 __all__ = ["Monomial", "CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
 
@@ -174,17 +175,7 @@ def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> Crosse
             v = ca * cb
             if z % ell:
                 v = v.scale(zeta_power(ell, z))
-            mono = Monomial(tuple(x + y for x, y in zip(p, q)), g * h)
-            prev = out.get(mono)
-            if prev is None:
-                if v:
-                    out[mono] = v
-            else:
-                s = prev + v
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+            accumulate(out, Monomial(tuple(x + y for x, y in zip(p, q)), g * h), v)
     return alg.elem_type(alg, out)
 
 
@@ -195,10 +186,7 @@ class CrossedAlgebra:
     elem_type: type[CrossedElem]
 
     def __init__(self, n: int, ell: int, t_values=None):
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n}")
-        if ell < 2:
-            raise ValueError(f"ell must be >= 2, got {ell}")
+        check_bounds(n, ell)
         self.n = n
         self.ell = ell
         self.ring = ParamRing(n, ell, t_values)

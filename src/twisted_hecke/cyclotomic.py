@@ -22,25 +22,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _exact_div(num, den):
-    """Quotient num/den in Q[z] (ascending coefficients); remainder must vanish."""
-    num = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < d:
-        raise ArithmeticError("numerator degree below denominator degree")
-    quot = [_F0] * (len(num) - d)
-    for k in range(len(num) - 1, d - 1, -1):
-        c = num[k] / lead
-        quot[k - d] = c
-        if c:
-            for j in range(d + 1):
-                num[k - d + j] -= c * den[j]
-    if any(num[:d]):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
     """Coefficients of the monic ell-th cyclotomic polynomial, ascending.
@@ -57,7 +38,9 @@ def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
     poly[ell] = _F1
     for d in range(1, ell):
         if ell % d == 0:
-            poly = _exact_div(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
@@ -143,14 +126,6 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return self._rat is not None and not self._rat
-
-    def is_rational(self) -> bool:
-        return self._rat is not None
-
-    def rational_value(self) -> Fraction:
-        if self._rat is None:
-            raise ValueError("element is not rational")
-        return self._rat
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -341,19 +316,24 @@ def format_rational(q: Fraction) -> str:
     return f"({q.numerator}/{q.denominator})"
 
 
+def accumulate(out: dict, key, value) -> None:
+    """Add ``value`` at ``key`` of a sparse {key: coefficient} map in place,
+    keeping it canonical: a zero is never stored and a sum that cancels
+    removes the key."""
+    prev = out.get(key)
+    if prev is not None:
+        value = prev + value
+    if value:
+        out[key] = value
+    elif prev is not None:
+        del out[key]
+
+
 def add_sparse(a: dict, b: dict) -> dict:
     """Sum of two sparse {key: coefficient} maps; zero sums are dropped."""
     out = dict(a)
     for key, c in b.items():
-        prev = out.get(key)
-        if prev is None:
-            out[key] = c
-        else:
-            s = prev + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        accumulate(out, key, c)
     return out
 
 

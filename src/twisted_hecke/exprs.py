@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .cyclotomic import Cyclotomic, zeta_power
 from .group import GroupElem
@@ -240,23 +241,26 @@ def parse(text: str):
 # -- evaluation ----------------------------------------------------------
 
 
-def _eval(node, alg, mode: str):
+def _eval(node, literal, symbol):
+    """Walk a parse tree: ``literal(value)`` builds a number, ``symbol(sym,
+    exp)`` a name raised to an integer power, and the operators are those
+    of the values built."""
     if isinstance(node, Num):
-        return alg.scalar(node.value)
+        return literal(node.value)
     if isinstance(node, Sym):
-        return _eval_sym(node, alg, mode, 1)
+        return symbol(node, 1)
     if isinstance(node, Neg):
-        return -_eval(node.arg, alg, mode)
+        return -_eval(node.arg, literal, symbol)
     if isinstance(node, Pow):
         if isinstance(node.base, Sym):
-            return _eval_sym(node.base, alg, mode, node.exp)
-        value = _eval(node.base, alg, mode)
+            return symbol(node.base, node.exp)
+        value = _eval(node.base, literal, symbol)
         if node.exp < 0:
             raise EvalError("negative exponent on a compound expression")
         return value**node.exp
     if isinstance(node, BinOp):
-        lhs = _eval(node.lhs, alg, mode)
-        rhs = _eval(node.rhs, alg, mode)
+        lhs = _eval(node.lhs, literal, symbol)
+        rhs = _eval(node.rhs, literal, symbol)
         if node.op == "+":
             return lhs + rhs
         if node.op == "-":
@@ -265,7 +269,7 @@ def _eval(node, alg, mode: str):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval_sym(sym: Sym, alg, mode: str, exp: int):
+def _eval_sym(alg, mode: str, sym: Sym, exp: int):
     n = alg.n
     if sym.kind == "zeta":
         return alg.scalar(zeta_power(alg.ell, 1)) ** exp
@@ -294,43 +298,30 @@ def _eval_sym(sym: Sym, alg, mode: str, exp: int):
     raise EvalError(f"unknown symbol kind {sym.kind!r}")
 
 
+def _scalar_sym(ell: int, sym: Sym, exp: int) -> Cyclotomic:
+    if sym.kind != "zeta":
+        raise EvalError(f"{sym.kind}{sym.index or ''} is not a scalar")
+    zeta = zeta_power(ell, 1)
+    # a bare zeta needs no product; ** 1 would still multiply twice
+    return zeta if exp == 1 else zeta**exp
+
+
 def eval_hecke(expr, alg):
     """Evaluate a parse tree (or source text) in a HeckeAlgebra."""
     if isinstance(expr, str):
         expr = parse(expr)
-    return _eval(expr, alg, "hecke")
+    return _eval(expr, alg.scalar, partial(_eval_sym, alg, "hecke"))
 
 
 def eval_laurent(expr, alg):
     """Evaluate a parse tree (or source text) in a LaurentAlgebra."""
     if isinstance(expr, str):
         expr = parse(expr)
-    return _eval(expr, alg, "laurent")
+    return _eval(expr, alg.scalar, partial(_eval_sym, alg, "laurent"))
 
 
 def eval_scalar(expr, ell: int) -> Cyclotomic:
     """Evaluate a scalar literal over Q(zeta): numbers, zeta, +, -, *, ^."""
     if isinstance(expr, str):
         expr = parse(expr)
-
-    def go(node):
-        if isinstance(node, Num):
-            return Cyclotomic.from_rational(ell, node.value)
-        if isinstance(node, Sym):
-            if node.kind == "zeta":
-                return zeta_power(ell, 1)
-            raise EvalError(f"{node.kind}{node.index or ''} is not a scalar")
-        if isinstance(node, Neg):
-            return -go(node.arg)
-        if isinstance(node, Pow):
-            return go(node.base) ** node.exp
-        if isinstance(node, BinOp):
-            lhs, rhs = go(node.lhs), go(node.rhs)
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            return lhs * rhs
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return go(expr)
+    return _eval(expr, partial(Cyclotomic.from_rational, ell), partial(_scalar_sym, ell))

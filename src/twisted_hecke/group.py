@@ -31,7 +31,19 @@ __all__ = [
     "star_power",
     "all_elements",
     "cocycle_identity_holds",
+    "check_bounds",
 ]
+
+# the largest n: the number of deformation parameters t_1..t_n
+MAX_PARAMS = 16
+
+
+def check_bounds(n: int, ell: int) -> None:
+    """The configurations every layer accepts: 3 <= n <= MAX_PARAMS, ell >= 2."""
+    if not 3 <= n <= MAX_PARAMS:
+        raise ValueError(f"n must be between 3 and {MAX_PARAMS}, got {n}")
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
 
 
 class GroupElem:
@@ -40,10 +52,7 @@ class GroupElem:
     __slots__ = ("n", "ell", "e", "_hash")
 
     def __init__(self, n: int, ell: int, e):
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n}")
-        if ell < 2:
-            raise ValueError(f"ell must be >= 2, got {ell}")
+        check_bounds(n, ell)
         e = tuple(x % ell for x in e)
         if len(e) != n - 1:
             raise ValueError(f"expected {n - 1} exponents, got {len(e)}")

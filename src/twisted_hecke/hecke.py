@@ -36,7 +36,7 @@ from .crossed import (
     crossed_mul,
     exponents_bounded,
 )
-from .cyclotomic import Cyclotomic, zeta_power
+from .cyclotomic import Cyclotomic, accumulate, zeta_power
 from .group import (
     GroupElem,
     action_char_exp,
@@ -141,7 +141,7 @@ class HeckeAlgebra(CrossedAlgebra):
         self._insert_cache: dict = {}
         self._product_cache: dict = {}
         self._w: HeckeElem | None = None
-        self._w_pows: dict[int, HeckeElem] = {}
+        self._w_pows: list[HeckeElem] = [self.one()]
 
     # -- construction ---------------------------------------------------
 
@@ -224,16 +224,7 @@ class HeckeAlgebra(CrossedAlgebra):
                             nc = c2
                         else:
                             nc = c * c2
-                        k2 = (q2, g2)
-                        prev = nxt.get(k2)
-                        if prev is None:
-                            nxt[k2] = nc
-                        else:
-                            s = prev + nc
-                            if s:
-                                nxt[k2] = s
-                            else:
-                                del nxt[k2]
+                        accumulate(nxt, (q2, g2), nc)
                 cur = nxt
         self._product_cache[key] = cur
         return cur
@@ -251,16 +242,7 @@ class HeckeAlgebra(CrossedAlgebra):
                     base = base.scale(zeta_power(ell, z))
                 for (q2, g2), c in self._normal_product(p, q, g * h).items():
                     v = base if c is self.ring._one else base * c
-                    mono = PBWMonomial(q2, g2)
-                    prev = out.get(mono)
-                    if prev is None:
-                        out[mono] = v
-                    else:
-                        s = prev + v
-                        if s:
-                            out[mono] = s
-                        else:
-                            del out[mono]
+                    accumulate(out, PBWMonomial(q2, g2), v)
         return HeckeElem(self, out)
 
     # product in the associated graded algebra: the crossed product of the
@@ -291,30 +273,21 @@ class HeckeAlgebra(CrossedAlgebra):
                 for i in subset:
                     c, g = star_mul(g, GroupElem.generator(n, ell, i))
                     scal = scal * c
-                coeff = coeff.scale(scal)
-                if coeff:
-                    mono = PBWMonomial(cover_complement(n, subset), g)
-                    prev = acc.get(mono)
-                    acc[mono] = coeff if prev is None else prev + coeff
-            self._w = HeckeElem(self, {m: c for m, c in acc.items() if c})
+                mono = PBWMonomial(cover_complement(n, subset), g)
+                accumulate(acc, mono, coeff.scale(scal))
+            self._w = HeckeElem(self, acc)
         return self._w
 
     def w_power(self, k: int) -> HeckeElem:
+        """w^k from the successive powers w^0, w^1, ...: each new power is one
+        product by w, which has only |J| terms, so w^3 * w is cheaper than
+        w^2 * w^2."""
         if k < 0:
             raise ValueError("negative power of w")
-        cached = self._w_pows.get(k)
-        if cached is None:
-            if k == 0:
-                cached = self.one()
-            elif k == 1:
-                cached = self.build_w()
-            elif k % 2 == 0:
-                half = self.w_power(k // 2)
-                cached = self.mul(half, half)
-            else:
-                cached = self.mul(self.w_power(k - 1), self.build_w())
-            self._w_pows[k] = cached
-        return cached
+        pows = self._w_pows
+        while len(pows) <= k:
+            pows.append(self.build_w() if len(pows) == 1 else self.mul(pows[-1], pows[1]))
+        return pows[k]
 
     def is_central(self, z: HeckeElem):
         """(True, None) if z commutes with every generator of H, else
@@ -338,20 +311,11 @@ class HeckeAlgebra(CrossedAlgebra):
               - sum_r (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r b^(ell-2r)
         """
         terms: dict = {}
-
-        def put(key, coeff):
-            prev = terms.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                terms[key] = s
-            elif prev is not None:
-                del terms[key]
-
         # the two parts share the key ((0,...,0), 0) at even n and even ell
         for a, coeff in relation_a_terms(self.ring):
-            put((a, 0), coeff)
+            accumulate(terms, (a, 0), coeff)
         for bexp, coeff in relation_b_terms(self.ring):
-            put((self._zero_p, bexp), -coeff)
+            accumulate(terms, (self._zero_p, bexp), -coeff)
         return terms
 
     def evaluate_F(self) -> HeckeElem:

@@ -22,6 +22,7 @@ from .exprs import eval_hecke, eval_laurent, parse
 from .group import (
     GroupElem,
     action_char,
+    check_bounds,
     cocycle_identity_holds,
     star_power,
 )
@@ -57,10 +58,7 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
-        if self.ell < 2:
-            raise ValueError(f"ell must be >= 2, got {self.ell}")
+        check_bounds(self.n, self.ell)
         if self.t_values is not None and len(self.t_values) != self.n:
             raise ValueError(f"expected {self.n} parameter values")
         if self.degree_bound < 0:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twisted_hecke.coeffring import ParamRing
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
     _poly_mul,
+    accumulate,
     cyclotomic_polynomial,
     zeta_power,
 )
@@ -146,3 +148,31 @@ def test_string_rendering():
     assert str(Cyclotomic.one(4)) == "1"
     assert str(zeta_power(4, 1)) == "zeta"
     assert str(Cyclotomic(4, [F(1), F(-1, 2)])) == "1 - (1/2)*zeta"
+
+
+_RING = ParamRing(3, 3)
+_ZETA = zeta_power(3, 1)
+
+
+# (zero, a, b) in each coefficient type that sparse maps store
+@pytest.mark.parametrize(
+    "zero,a,b",
+    [
+        (F(0), F(2), F(-5, 3)),
+        (Cyclotomic.zero(3), _ZETA, Cyclotomic.one(3) + _ZETA),
+        (_RING.zero(), _RING.t(1), _RING.t(2).scale(_ZETA)),
+    ],
+    ids=["fraction", "cyclotomic", "parampoly"],
+)
+def test_accumulate_never_stores_a_zero(zero, a, b):
+    out = {}
+    accumulate(out, "k", zero)
+    assert out == {}  # a zero at a new key is not stored
+    accumulate(out, "k", a)
+    accumulate(out, "j", b)
+    accumulate(out, "k", -a)
+    assert out == {"j": b}  # a cancelling sum deletes the key
+    accumulate(out, "j", a)
+    assert out == {"j": b + a}  # a nonzero sum replaces the old value
+    accumulate(out, "k", a)
+    assert list(out) == ["j", "k"]  # a deleted key comes back at the end

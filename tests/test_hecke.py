@@ -231,6 +231,16 @@ def test_w_leading_term(H32):
     assert w.terms[lead] == H32.ring.one()
 
 
+@pytest.mark.parametrize("n, ell", [(3, 3), (4, 2), (4, 4)])
+def test_w_power_matches_repeated_squaring(n, ell):
+    # w_power multiplies by w one step at a time; ** goes through
+    # power_by_squaring, an independent route to the same powers
+    alg = HeckeAlgebra(n, ell)
+    w = alg.build_w()
+    for k in range(ell + 1):
+        assert alg.w_power(k) == w**k
+
+
 def test_sklyanin_check():
     for ell in (2, 3, 4):
         assert HeckeAlgebra(3, ell).sklyanin_check()

@@ -148,6 +148,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Config(n=2, ell=2)
     with pytest.raises(ValueError):
+        Config(n=17, ell=2)
+    with pytest.raises(ValueError):
         Config(n=3, ell=1)
     with pytest.raises(ValueError):
         Config(n=3, ell=2, t_values=(Cyclotomic.zero(2),))
