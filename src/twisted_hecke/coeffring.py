@@ -83,7 +83,7 @@ class ParamPoly:
         if len(self.terms) != 1:
             return False
         ((e, c),) = self.terms.items()
-        return not any(e) and c._rat == 1
+        return not any(e) and c.is_one()
 
     def __mul__(self, other):
         if isinstance(other, (Cyclotomic, int, Fraction)):
@@ -115,7 +115,7 @@ class ParamPoly:
             c = Cyclotomic.from_rational(self.ell, c)
         if c.is_zero():
             return ParamPoly(self.n, self.ell, {}, _canonical=True)
-        if c._rat == 1:
+        if c.is_one():
             return self
         return ParamPoly(
             self.n, self.ell, {e: v * c for e, v in self.terms.items()}, _canonical=True

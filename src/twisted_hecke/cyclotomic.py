@@ -2,8 +2,14 @@
 
 An element is a residue in Q[z]/(Phi_ell(z)), where Phi_ell is the ell-th
 cyclotomic polynomial and z stands for a fixed primitive ell-th root of
-unity zeta.  Coefficient vectors have length deg Phi_ell = phi(ell) and are
-kept fully reduced, so equality is structural and every comparison is exact.
+unity zeta.  It is stored as FLINT's ``fmpq_poly`` stores a rational
+polynomial: a vector of phi(ell) = deg Phi_ell integer numerators over one
+positive common denominator, fully reduced against Phi_ell and in lowest
+terms (gcd(den, *num) == 1, zero is 0/1).  Equality is therefore structural
+and every comparison is exact.  Phi_ell is monic with integer coefficients,
+so a product is an integer convolution, an integer reduction and one gcd;
+``fractions.Fraction`` appears only where values enter or leave (the
+constructor, ``from_rational``, ``coeffs``) and in the rare ``inv``.
 
 Working modulo Phi_ell rather than modulo z^ell - 1 makes the quotient a
 field: every nonzero element has an inverse (computed by the extended
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "zeta_power"]
 
@@ -45,24 +52,20 @@ def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(ell: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced representatives of z^k mod Phi_ell for all k needed by
-    products of reduced elements: 0 <= k <= max(2*deg - 2, ell - 1)."""
-    phi = cyclotomic_polynomial(ell)
+def _power_table(ell: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced integer representatives of z^k mod Phi_ell for all k needed
+    by products of reduced elements: 0 <= k <= max(2*deg - 2, ell - 1)."""
+    phi = [int(c) for c in cyclotomic_polynomial(ell)]
     m = len(phi) - 1
     top = max(2 * m - 2, ell - 1, 0)
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int, ...]] = []
     for k in range(top + 1):
         if k < m:
-            rows.append(tuple(_F1 if j == k else _F0 for j in range(m)))
+            rows.append(tuple(int(j == k) for j in range(m)))
         else:
             prev = rows[k - 1]
             lead = prev[m - 1]
-            row = [_F0] + list(prev[: m - 1])
-            if lead:
-                for j in range(m):
-                    row[j] -= lead * phi[j]
-            rows.append(tuple(row))
+            rows.append(tuple(a - lead * c for a, c in zip((0,) + prev[: m - 1], phi)))
     return tuple(rows)
 
 
@@ -73,62 +76,73 @@ def _degree(ell: int) -> int:
 class Cyclotomic:
     """An element of Q(zeta) for a fixed primitive ell-th root of unity zeta.
 
-    Values are immutable and always stored in reduced canonical form, so they
+    ``num / den`` in the power basis 1, zeta, ..., zeta^(phi(ell)-1), with
+    ``num`` a tuple of ints and ``den`` a positive int in lowest terms.
+    Values are immutable and always stored in this canonical form, so they
     may be shared freely and compared with ==.
     """
 
-    __slots__ = ("ell", "coeffs", "_rat")
+    __slots__ = ("ell", "num", "den")
 
     def __init__(self, ell: int, coeffs):
-        """Build from any coefficient sequence for ascending powers of zeta;
-        the input is reduced modulo Phi_ell."""
+        """Build from any rational coefficient sequence for ascending powers
+        of zeta; the input is reduced modulo Phi_ell."""
         if ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell}")
         table = _power_table(ell)
-        m = _degree(ell)
-        acc = [_F0] * m
-        for k, c in enumerate(coeffs):
+        fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        acc = [0] * _degree(ell)
+        for k, c in enumerate(fracs):
             if not c:
                 continue
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
+            a = c.numerator * (den // c.denominator)
             row = table[k] if k < len(table) else table[k % ell]
-            for j in range(m):
-                if row[j]:
-                    acc[j] += c * row[j]
+            for j, r in enumerate(row):
+                if r:
+                    acc[j] += a * r
         self.ell = ell
-        self.coeffs = tuple(acc)
-        self._rat = acc[0] if not any(acc[1:]) else None
+        self.num, self.den = _lowest_terms(acc, den)
 
     @classmethod
-    def _make(cls, ell: int, coeffs: tuple) -> "Cyclotomic":
-        # fast path for coefficient tuples already reduced mod Phi_ell
+    def _make(cls, ell: int, num: tuple, den: int) -> "Cyclotomic":
+        # fast path for a numerator already reduced mod Phi_ell and in lowest terms
         self = object.__new__(cls)
         self.ell = ell
-        self.coeffs = coeffs
-        self._rat = coeffs[0] if not any(coeffs[1:]) else None
+        self.num = num
+        self.den = den
         return self
 
     @classmethod
     def zero(cls, ell: int) -> "Cyclotomic":
-        return cls._make(ell, (_F0,) * _degree(ell))
+        return cls._make(ell, (0,) * _degree(ell), 1)
 
     @classmethod
     def one(cls, ell: int) -> "Cyclotomic":
-        return cls.from_rational(ell, _F1)
+        return cls._make(ell, _power_table(ell)[0], 1)
 
     @classmethod
     def from_rational(cls, ell: int, value) -> "Cyclotomic":
         if not isinstance(value, Fraction):
             value = Fraction(value)
         m = _degree(ell)
-        return cls._make(ell, (value,) + (_F0,) * (m - 1))
+        return cls._make(ell, (value.numerator,) + (0,) * (m - 1), value.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates num[k]/den, ascending in zeta."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     def is_zero(self) -> bool:
-        return self._rat is not None and not self._rat
+        return not any(self.num)
+
+    def is_one(self) -> bool:
+        num = self.num
+        return num[0] == 1 and self.den == 1 and not any(num[1:])
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -143,7 +157,7 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._make(self.ell, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _signed_sum(self, o, 1)
 
     __radd__ = __add__
 
@@ -151,53 +165,47 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._make(self.ell, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _signed_sum(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _signed_sum(o, self, -1)
 
     def __neg__(self):
-        return Cyclotomic._make(self.ell, tuple(-a for a in self.coeffs))
+        return Cyclotomic._make(self.ell, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._rat is not None:
-            r = self._rat
+        x, y = (o, self) if any(self.num[1:]) else (self, o)
+        if not any(x.num[1:]):
+            # x is the rational r/x.den: scale y by it
+            r = x.num[0]
             if not r:
-                return self
-            if r == 1:
-                return o
-            return Cyclotomic._make(self.ell, tuple(r * b for b in o.coeffs))
-        if o._rat is not None:
-            r = o._rat
-            if not r:
-                return o
-            if r == 1:
-                return self
-            return Cyclotomic._make(self.ell, tuple(r * a for a in self.coeffs))
-        a, b = self.coeffs, o.coeffs
+                return x
+            if r == 1 and x.den == 1:
+                return y
+            return Cyclotomic._make(y.ell, *_lowest_terms([r * c for c in y.num], x.den * y.den))
+        a, b = self.num, o.num
         m = len(a)
-        conv = [_F0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        # fold z^k, k >= m, back through its reduced row; Phi_ell is monic
+        # over Z, so every row is integral
         table = _power_table(self.ell)
-        acc = list(conv[:m])
         for k in range(m, 2 * m - 1):
             c = conv[k]
             if c:
-                row = table[k]
-                for j in range(m):
-                    if row[j]:
-                        acc[j] += c * row[j]
-        return Cyclotomic._make(self.ell, tuple(acc))
+                for j, r in enumerate(table[k]):
+                    conv[j] += c * r
+        del conv[m:]
+        return Cyclotomic._make(self.ell, *_lowest_terms(conv, self.den * o.den))
 
     __rmul__ = __mul__
 
@@ -205,8 +213,9 @@ class Cyclotomic:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        if self._rat is not None:
-            return Cyclotomic.from_rational(self.ell, 1 / self._rat)
+        num = self.num
+        if not any(num[1:]):
+            return Cyclotomic.from_rational(self.ell, Fraction(self.den, num[0]))
         a = _trim(list(self.coeffs))
         b = list(cyclotomic_polynomial(self.ell))
         g, u = _poly_xgcd(a, b)
@@ -231,11 +240,12 @@ class Cyclotomic:
         return (
             isinstance(other, Cyclotomic)
             and self.ell == other.ell
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return hash((self.ell, self.coeffs))
+        return hash((self.ell, self.num, self.den))
 
     def factor_terms(self) -> list:
         """(rational, [zeta power]) for each nonzero coordinate, ascending;
@@ -249,11 +259,32 @@ class Cyclotomic:
         return f"Cyclotomic({self.ell}, {self})"
 
 
+def _signed_sum(x: Cyclotomic, y: Cyclotomic, sign: int) -> Cyclotomic:
+    """x + sign*y for sign = 1 or -1, over the common denominator."""
+    dx, dy = x.den, y.den
+    if dx == dy:
+        num = [a + sign * b for a, b in zip(x.num, y.num)]
+    else:
+        num = [a * dy + sign * b * dx for a, b in zip(x.num, y.num)]
+        dx *= dy
+    return Cyclotomic._make(x.ell, *_lowest_terms(num, dx))
+
+
+def _lowest_terms(num: list, den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) divided by gcd(den, *num): the canonical form, in which
+    zero is (0, ..., 0)/1.  ``den`` must be positive."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple([a // g for a in num]), den // g
+    return tuple(num), den
+
+
 def zeta_power(ell: int, k: int) -> Cyclotomic:
     """Canonical representative of zeta^(k mod ell)."""
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
-    return Cyclotomic._make(ell, _power_table(ell)[k % ell])
+    return Cyclotomic._make(ell, _power_table(ell)[k % ell], 1)
 
 
 def _trim(poly):
@@ -338,13 +369,16 @@ def add_sparse(a: dict, b: dict) -> dict:
 
 
 def power_by_squaring(base, k: int, one):
-    """``one * base^k`` for an integer k >= 0, by repeated squaring."""
-    result = one
-    while k:
-        if k & 1:
+    """``base^k`` for an integer k >= 0 by left-to-right binary powering:
+    ``one`` when k = 0, otherwise one squaring per bit below the top bit and
+    one product by ``base`` per set bit below it (k = 1 makes no product)."""
+    if not k:
+        return one
+    result = base
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        base = base * base
-        k >>= 1
     return result
 
 

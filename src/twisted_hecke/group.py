@@ -62,6 +62,16 @@ class GroupElem:
         self._hash = hash((n, ell, e))
 
     @classmethod
+    def _make(cls, n: int, ell: int, e: tuple) -> "GroupElem":
+        # fast path for products: (n, ell) already checked, residues in 0..ell-1
+        self = object.__new__(cls)
+        self.n = n
+        self.ell = ell
+        self.e = e
+        self._hash = hash((n, ell, e))
+        return self
+
+    @classmethod
     def identity(cls, n: int, ell: int) -> "GroupElem":
         return cls(n, ell, (0,) * (n - 1))
 
@@ -81,11 +91,12 @@ class GroupElem:
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         self._check(other)
         ell = self.ell
-        return GroupElem(self.n, ell, tuple((a + b) % ell for a, b in zip(self.e, other.e)))
+        e = tuple([(a + b) % ell for a, b in zip(self.e, other.e)])
+        return GroupElem._make(self.n, ell, e)
 
     def __pow__(self, k: int) -> "GroupElem":
         ell = self.ell
-        return GroupElem(self.n, ell, tuple((a * k) % ell for a in self.e))
+        return GroupElem._make(self.n, ell, tuple([(a * k) % ell for a in self.e]))
 
     def inverse(self) -> "GroupElem":
         return self ** (-1)

@@ -1,6 +1,7 @@
 """Exactness and field structure of the cyclotomic arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from twisted_hecke.coeffring import ParamRing
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
+    _poly_divmod,
     _poly_mul,
     accumulate,
     cyclotomic_polynomial,
+    power_by_squaring,
     zeta_power,
 )
 
@@ -176,3 +179,154 @@ def test_accumulate_never_stores_a_zero(zero, a, b):
     assert out == {"j": b + a}  # a nonzero sum replaces the old value
     accumulate(out, "k", a)
     assert list(out) == ["j", "k"]  # a deleted key comes back at the end
+
+
+# -- the integer-numerator representation against a Fraction-vector reference
+
+# Phi_6 and Phi_12 have negative coefficients; ell = 1 makes zeta = 1
+REF_ELLS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
+
+
+def ref_reduce(ell, coeffs):
+    """Fraction coordinates of a polynomial in z reduced mod Phi_ell."""
+    phi = list(cyclotomic_polynomial(ell))
+    _, rem = _poly_divmod([F(c) for c in coeffs], phi)
+    return tuple(rem) + (F(0),) * (len(phi) - 1 - len(rem))
+
+
+def ref_mul(a, b):
+    conv = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return conv
+
+
+def ref_one(ell):
+    return ref_reduce(ell, [1])
+
+
+def assert_canonical(x):
+    m = len(cyclotomic_polynomial(x.ell)) - 1
+    assert len(x.num) == m and all(type(a) is int for a in x.num)
+    assert type(x.den) is int and x.den >= 1
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.num == (0,) * m and x.den == 1
+    return x
+
+
+def ref_elements(ell):
+    # lists longer than phi(ell) also exercise the constructor's reduction
+    return st.lists(rationals, min_size=0, max_size=ell + 3)
+
+
+@given(
+    st.sampled_from(REF_ELLS).flatmap(
+        lambda ell: st.tuples(st.just(ell), ref_elements(ell), ref_elements(ell))
+    ),
+    st.integers(min_value=-3, max_value=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_matches_fraction_vector_reference(case, k):
+    ell, ca, cb = case
+    a, b = assert_canonical(Cyclotomic(ell, ca)), assert_canonical(Cyclotomic(ell, cb))
+    ra, rb = ref_reduce(ell, ca), ref_reduce(ell, cb)
+    assert a.coeffs == ra and b.coeffs == rb
+    assert assert_canonical(a + b).coeffs == ref_reduce(ell, [x + y for x, y in zip(ra, rb)])
+    assert assert_canonical(a - b).coeffs == ref_reduce(ell, [x - y for x, y in zip(ra, rb)])
+    assert assert_canonical(-a).coeffs == tuple(-x for x in ra)
+    assert assert_canonical(a * b).coeffs == ref_reduce(ell, ref_mul(ra, rb))
+    for q in (F(0), F(1), F(-3, 2)):
+        expected = tuple(q * x for x in ra)
+        assert assert_canonical(a * q).coeffs == expected
+        assert assert_canonical(q * a).coeffs == expected
+        assert assert_canonical(a + q).coeffs == ref_reduce(ell, [ra[0] + q, *ra[1:]])
+    if a:
+        inv = assert_canonical(a.inv())
+        assert ref_reduce(ell, ref_mul(ra, inv.coeffs)) == ref_one(ell)
+    if k >= 0 or a:
+        power = ref_one(ell)
+        for _ in range(abs(k)):
+            power = ref_reduce(ell, ref_mul(power, ra))
+        got = assert_canonical(a**k).coeffs
+        if k >= 0:
+            assert got == power
+        else:
+            assert ref_reduce(ell, ref_mul(got, power)) == ref_one(ell)
+
+
+@pytest.mark.parametrize("ell", REF_ELLS)
+def test_equal_values_from_different_routes_hash_equal(ell):
+    one = Cyclotomic.one(ell)
+    half = Cyclotomic.from_rational(ell, F(1, 2))
+    z = zeta_power(ell, 1)
+    x = Cyclotomic(ell, [F(1, 3), F(-2, 5), 7])
+    same_as_one = [
+        half + half,
+        Cyclotomic(ell, [F(2, 4)]) * 2,
+        z * zeta_power(ell, -1),
+        zeta_power(ell, ell),
+        Cyclotomic(ell, [0] * ell + [1]),  # z^ell = 1
+    ]
+    if x:
+        same_as_one.append(x * x.inv())
+    for y in same_as_one:
+        assert_canonical(y)
+        assert y == one and hash(y) == hash(one)
+    zero = Cyclotomic.zero(ell)
+    for y in (half - half, x - x, x * 0, Cyclotomic(ell, [F(0), 0])):
+        assert assert_canonical(y) == zero and hash(y) == hash(zero)
+    # ((1/3)z + (1/6)z)*2 built over two denominators is z
+    y = (Cyclotomic(ell, [0, F(1, 3)]) + Cyclotomic(ell, [0, F(1, 6)])) * 2
+    assert y == z and hash(y) == hash(z)
+
+
+def test_products_and_sums_create_no_fraction(monkeypatch):
+    x = Cyclotomic(5, [F(1, 2), F(-2, 3), 3, F(5, 7)])
+    y = Cyclotomic(5, [F(3, 4), 0, F(-1, 6), 2])
+    q = Cyclotomic.from_rational(5, F(-5, 3))
+    created = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for a in (x, y, q, zeta_power(5, 3)):
+        for b in (x, y, q, zeta_power(5, 2)):
+            a * b, a + b, a - b, -a, a == b, hash(a), a.is_one(), bool(a)
+    assert created == []
+
+
+def test_is_one():
+    assert Cyclotomic.one(6).is_one()
+    assert Cyclotomic(6, [F(3, 3)]).is_one()
+    assert not Cyclotomic.from_rational(6, -1).is_one()
+    assert not Cyclotomic.from_rational(6, F(1, 2)).is_one()
+    assert not (Cyclotomic.one(6) + zeta_power(6, 1)).is_one()
+    assert not Cyclotomic.zero(6).is_one()
+
+
+class CountingPower:
+    """A stand-in for a ring element that counts the products it makes."""
+
+    products = 0
+
+    def __init__(self, k):
+        self.k = k
+
+    def __mul__(self, other):
+        CountingPower.products += 1
+        return CountingPower(self.k + other.k)
+
+
+@pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)])
+def test_power_by_squaring_makes_no_wasted_product(k, products):
+    CountingPower.products = 0
+    one = CountingPower(0)
+    result = power_by_squaring(CountingPower(1), k, one)
+    assert result.k == k and CountingPower.products == products
+    if k == 0:
+        assert result is one

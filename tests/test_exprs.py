@@ -150,3 +150,21 @@ def test_roundtrip_random_elements():
             text = img.render()
             assert eval_laurent(text, L) == img
             assert eval_laurent(text, L).render() == text
+
+
+def test_atoms_cost_no_algebra_product(monkeypatch):
+    # every atom is raised to its exponent; exponent 1 must not multiply
+    H = HeckeAlgebra(3, 3)
+    calls = []
+    original = HeckeAlgebra.mul
+
+    def counting_mul(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(HeckeAlgebra, "mul", counting_mul)
+    for text in ("x1", "t2", "zeta", "g1"):
+        eval_hecke(text, H)
+    assert calls == []
+    assert eval_hecke("x1^2", H) == H.gen_x(1) * H.gen_x(1)
+    assert len(calls) == 2  # the square, and the product on the right

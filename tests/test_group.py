@@ -183,3 +183,19 @@ def test_render_descending_and_identity():
     assert GroupElem.identity(4, 3).render() == "1"
     assert (gen(4, 3, 1) * gen(4, 3, 3)).render() == "g3*g1"
     assert gen(4, 3, 4).render() == "g3^2*g2^2*g1^2"
+
+
+def test_products_built_by_make_equal_public_construction():
+    n, ell = 4, 3
+    g = GroupElem(n, ell, (1, 2, 0))
+    h = GroupElem(n, ell, (2, 2, 1))
+    for made, public in [
+        (g * h, GroupElem(n, ell, (3, 4, 1))),
+        (g**5, GroupElem(n, ell, (5, 10, 0))),
+        (h.inverse(), GroupElem(n, ell, (-2, -2, -1))),
+        (GroupElem._make(n, ell, (0, 1, 2)), GroupElem(n, ell, (3, 4, 5))),
+    ]:
+        assert made == public and public == made
+        assert hash(made) == hash(public)
+        assert made.e == public.e and made.n == n and made.ell == ell
+    assert len({g * h, GroupElem(n, ell, (0, 1, 1))}) == 1
