@@ -19,6 +19,7 @@ mode is the strongest form of verification available here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .cyclotomic import (
     Cyclotomic,
@@ -79,29 +80,24 @@ class ParamPoly:
             self.n, self.ell, {e: -c for e, c in self.terms.items()}, _canonical=True
         )
 
-    def is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        ((e, c),) = self.terms.items()
-        return not any(e) and c.is_one()
-
     def __mul__(self, other):
-        if isinstance(other, (Cyclotomic, int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, ParamPoly):
+        # an exact type test first: Fraction is an ABC, so isinstance is slow
+        if type(other) is not ParamPoly:
+            if isinstance(other, (Cyclotomic, int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
-        if not a or not b:
-            return ParamPoly(self.n, self.ell, {}, _canonical=True)
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
+        if len(a) == 1 and len(b) == 1:
+            # Q(zeta)[t] is a domain: a product of nonzero terms is nonzero
+            ((ea, ca),) = a.items()
+            ((eb, cb),) = b.items()
+            e = tuple(map(add, ea, eb))
+            return ParamPoly(self.n, self.ell, {e: ca * cb}, _canonical=True)
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                accumulate(out, tuple(map(add, ea, eb)), ca * cb)
         return ParamPoly(self.n, self.ell, out, _canonical=True)
 
     def __rmul__(self, other):
@@ -119,6 +115,14 @@ class ParamPoly:
             return self
         return ParamPoly(
             self.n, self.ell, {e: v * c for e, v in self.terms.items()}, _canonical=True
+        )
+
+    def times_zeta(self, k: int) -> "ParamPoly":
+        """Multiply by zeta^k, a shift of every coefficient (no product)."""
+        if not k % self.ell:
+            return self
+        return ParamPoly(
+            self.n, self.ell, {e: c.times_zeta(k) for e, c in self.terms.items()}, _canonical=True
         )
 
     def __pow__(self, k: int) -> "ParamPoly":

@@ -9,14 +9,18 @@ crossed-product law
     (m^p g)(m^q h) = char(g, q) alpha(g, h) m^(p+q) (gh),
 
 which is the whole multiplication of the Laurent algebra and the
-associated graded multiplication of the Hecke algebra.  This module holds
-that law, the sparse element arithmetic around it and the algebra
-plumbing; the subclasses add PBW rewriting (Hecke) and theta (Laurent).
+associated graded multiplication of the Hecke algebra.  The twist
+char(g, q) alpha(g, h) is zeta^z with z = c_g . q + b_g . f_h, read from
+the twist row of g (``group.twist_exp``) and applied to the coefficient as
+a shift (``times_zeta``), not a product.  This module holds that law, the
+sparse element arithmetic around it and the algebra plumbing; the
+subclasses add PBW rewriting (Hecke) and theta (Laurent).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .coeffring import ParamPoly, ParamRing
@@ -27,9 +31,8 @@ from .cyclotomic import (
     indexed_powers,
     power_by_squaring,
     render_terms,
-    zeta_power,
 )
-from .group import GroupElem, action_char_exp, alpha_exp, check_bounds
+from .group import GroupElem, check_bounds, twist_exp
 
 __all__ = ["Monomial", "CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
 
@@ -165,17 +168,17 @@ class CrossedElem:
 
 
 def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> CrossedElem:
-    """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly."""
+    """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly; the
+    exponent of the root of unity comes from ``twist_exp``."""
     a._compat(b)
-    ell = alg.ell
     out: dict = {}
     for (p, g), ca in a.terms.items():
         for (q, h), cb in b.terms.items():
-            z = action_char_exp(g, q) + alpha_exp(g, h)
             v = ca * cb
-            if z % ell:
-                v = v.scale(zeta_power(ell, z))
-            accumulate(out, Monomial(tuple(x + y for x, y in zip(p, q)), g * h), v)
+            z = twist_exp(g, q, h)
+            if z:
+                v = v.times_zeta(z)
+            accumulate(out, Monomial(tuple(map(add, p, q)), g * h), v)
     return alg.elem_type(alg, out)
 
 

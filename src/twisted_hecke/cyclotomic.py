@@ -209,6 +209,30 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def times_zeta(self, k: int) -> "Cyclotomic":
+        """self * zeta^k without a product: z^k maps z^j to z^((j+k) mod ell),
+        so the numerator, padded to length ell, shifts cyclically and each
+        coordinate landing at z^r with r >= phi(ell) folds through its power
+        table row (one row when ell is prime).  zeta^k is a unit of Z[zeta],
+        so the numerator's gcd with den is unchanged and stays 1."""
+        ell = self.ell
+        k %= ell
+        if not k:
+            return self
+        num = self.num
+        m = len(num)
+        v = num + (0,) * (ell - m)
+        v = v[ell - k:] + v[: ell - k]
+        out = list(v[:m])
+        table = _power_table(ell)
+        for r in range(m, ell):
+            a = v[r]
+            if a:
+                for j, c in enumerate(table[r]):
+                    if c:
+                        out[j] += a * c
+        return Cyclotomic._make(ell, tuple(out), self.den)
+
     def inv(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.is_zero():

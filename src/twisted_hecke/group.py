@@ -13,11 +13,18 @@ The 2-cocycle twisting all crossed products here is
 evaluated on canonical residues; well-definedness modulo ell is a tested
 property rather than an assumption.  ``action_char`` gives the scalar by
 which a group element acts on a monomial with a given exponent vector.
+
+Both exponents are linear in the second argument, so each element g has a
+twist row (c_g, b_g) with action_char_exp(g, q) = c_g . q and
+alpha_exp(g, h) = b_g . f_h.  The crossed-product kernels read the exponent
+of every term pair, c_g . q + b_g . f_h mod ell, from ``twist_exp``; the
+cocycle and action-character checks compare those rows with the formulas.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
 
@@ -27,6 +34,8 @@ __all__ = [
     "alpha_exp",
     "action_char",
     "action_char_exp",
+    "twist_row",
+    "twist_exp",
     "star_mul",
     "star_power",
     "all_elements",
@@ -152,6 +161,37 @@ def action_char_exp(g: GroupElem, p) -> int:
     return sum(e[k] * (p[k] - p[k + 1]) for k in range(len(e)))
 
 
+# twist rows by exponent vector e: a row depends on e alone, and rows for
+# every n share one map because e has length n - 1
+_TWIST_ROWS: dict = {}
+# a process that touches more elements than this starts the map over
+_MAX_TWIST_ROWS = 1 << 16
+
+
+def twist_row(g: GroupElem) -> tuple:
+    """(c_g, b_g) with action_char_exp(g, q) == c_g . q and
+    alpha_exp(g, h) == b_g . f_h, built on first use and cached by value."""
+    e = g.e
+    row = _TWIST_ROWS.get(e)
+    if row is None:
+        if len(_TWIST_ROWS) >= _MAX_TWIST_ROWS:
+            _TWIST_ROWS.clear()
+        # c_j = e_j - e_(j-1) and b_l = -e_(l-1), with e_(-1) = e_(n-1) = 0
+        c = tuple([a - b for a, b in zip(e + (0,), (0,) + e)])
+        b = (0,) + tuple([-a for a in e[:-1]])
+        row = _TWIST_ROWS[e] = (c, b)
+    return row
+
+
+def twist_exp(g: GroupElem, q, h: GroupElem) -> int:
+    """Exponent of zeta in char(g, q) alpha(g, h), reduced to 0..ell-1: the
+    twist of the term pair (m^p g)(m^q h), read from g's twist row.  Both
+    crossed-product kernels and the PBW insertion step take it from here;
+    g and h must lie in the same group."""
+    c, b = _TWIST_ROWS.get(g.e) or twist_row(g)
+    return (sum(map(mul, c, q)) + sum(map(mul, b, h.e))) % g.ell
+
+
 def action_char(g: GroupElem, p) -> Cyclotomic:
     if len(p) != g.n:
         raise ValueError(f"exponent vector must have length {g.n}")
@@ -185,9 +225,10 @@ def cocycle_identity_holds(n: int, ell: int) -> bool:
     Exact and exhaustive through one sweep over the |G|^2 pairs.  With the
     Gram matrix A_kl = alpha_exp(g_k, g_l) on the generators g_1..g_(n-1),
     the sweep checks alpha_exp(g^e, g^f) == sum_(k,l) e_k f_l A_kl (mod ell)
-    for every pair, each value taken from ``alpha_exp`` itself (the function
-    ``crossed_mul`` uses).  Agreement on all pairs makes the exponent of
-    alpha a bilinear form B on G, and any bilinear B satisfies
+    for every pair, and that the exponent every product reads,
+    ``twist_exp(g, 0, h)`` from the twist row of g, equals alpha_exp(g, h)
+    (mod ell).  Agreement on all pairs makes the exponent the kernels use a
+    bilinear form B on G, and any bilinear B satisfies
 
         B(g,h) + B(g+h,k) = B(g,h) + B(g,k) + B(h,k) = B(h,k) + B(g,h+k),
 
@@ -196,10 +237,12 @@ def cocycle_identity_holds(n: int, ell: int) -> bool:
     gens = [GroupElem.generator(n, ell, i) for i in range(1, n)]
     gram = [[alpha_exp(a, b) for b in gens] for a in gens]
     elems = list(all_elements(n, ell))
+    zero = (0,) * n
     for g in elems:
         # row_l = sum_k e_k A_kl, so the bilinear value at (g, h) is row . f
         row = [sum(ek * col[l] for ek, col in zip(g.e, gram)) for l in range(n - 1)]
         for h in elems:
-            if (alpha_exp(g, h) - sum(r * f for r, f in zip(row, h.e))) % ell:
+            a = alpha_exp(g, h)
+            if (a - sum(map(mul, row, h.e))) % ell or (twist_exp(g, zero, h) - a) % ell:
                 return False
     return True

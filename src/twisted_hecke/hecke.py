@@ -37,13 +37,7 @@ from .crossed import (
     exponents_bounded,
 )
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
-from .group import (
-    GroupElem,
-    action_char_exp,
-    alpha,
-    alpha_exp,
-    star_mul,
-)
+from .group import GroupElem, star_mul, twist_exp
 
 __all__ = ["PBWMonomial", "HeckeElem", "HeckeAlgebra", "enumerate_J"]
 
@@ -79,6 +73,18 @@ def cover_complement(n: int, subset) -> tuple:
         v[i - 1] -= 1
         v[i % n] -= 1
     return tuple(v)
+
+
+def independence_exponents(n: int, ell: int, max_total_degree: int):
+    """(p, m) for every product x^(ell p) w^m with 0 <= m < ell and total
+    degree ell |p| + n m <= max_total_degree: the cases
+    ``pbw_independence_evidence`` examines."""
+    for m in range(ell):
+        base = m * n
+        if base > max_total_degree:
+            break
+        for p in exponents_bounded(n, (max_total_degree - base) // ell):
+            yield p, m
 
 
 def relation_a_terms(ring) -> list:
@@ -183,7 +189,7 @@ class HeckeAlgebra(CrossedAlgebra):
             for v in range(m):
                 scal = scal + zeta_power(ell, v)
             gi = GroupElem.generator(n, ell, i - 1)
-            scal = scal * zeta_power(ell, -q[i - 1]) * alpha(gi, g)
+            scal = scal.times_zeta(twist_exp(gi, self._zero_p, g) - q[i - 1])
             coeff = ring.t(i - 1).scale(-scal)
             if coeff:
                 lower = list(q)
@@ -195,7 +201,7 @@ class HeckeAlgebra(CrossedAlgebra):
             for v in range(m):
                 scal = scal + zeta_power(ell, -v)
             gn = GroupElem.generator(n, ell, n)
-            scal = scal * zeta_power(ell, q[n - 1]) * alpha(gn, g)
+            scal = scal.times_zeta(twist_exp(gn, self._zero_p, g) + q[n - 1])
             coeff = ring.t(n).scale(scal)
             if coeff:
                 lower = list(q)
@@ -232,14 +238,13 @@ class HeckeAlgebra(CrossedAlgebra):
     def mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         """Product in H, returned in canonical PBW form."""
         a._compat(b)
-        ell = self.ell
         out: dict = {}
         for (p, g), ca in a.terms.items():
             for (q, h), cb in b.terms.items():
-                z = action_char_exp(g, q) + alpha_exp(g, h)
                 base = ca * cb
-                if z % ell:
-                    base = base.scale(zeta_power(ell, z))
+                z = twist_exp(g, q, h)
+                if z:
+                    base = base.times_zeta(z)
                 for (q2, g2), c in self._normal_product(p, q, g * h).items():
                     v = base if c is self.ring._one else base * c
                     accumulate(out, PBWMonomial(q2, g2), v)
@@ -337,21 +342,14 @@ class HeckeAlgebra(CrossedAlgebra):
         x^(ell p + m delta) with nonzero coefficient, and that these leading
         monomials are pairwise distinct."""
         seen = set()
-        for m in range(self.ell):
-            base = m * self.n
-            if base > max_total_degree:
-                break
-            smax = (max_total_degree - base) // self.ell
-            for p in exponents_bounded(self.n, smax):
-                prod = self.mul(
-                    self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
-                )
-                lead = PBWMonomial(
-                    tuple(self.ell * k + m for k in p), self.identity_g
-                )
-                if lead in seen or prod.terms.get(lead) is None:
-                    return False
-                seen.add(lead)
+        for p, m in independence_exponents(self.n, self.ell, max_total_degree):
+            prod = self.mul(
+                self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
+            )
+            lead = PBWMonomial(tuple(self.ell * k + m for k in p), self.identity_g)
+            if lead in seen or prod.terms.get(lead) is None:
+                return False
+            seen.add(lead)
         return True
 
     def sklyanin_check(self) -> bool:

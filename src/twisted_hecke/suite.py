@@ -17,16 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chebyshev
+from .crossed import exponents_bounded
 from .cyclotomic import Cyclotomic, zeta_power
 from .exprs import eval_hecke, eval_laurent, parse
 from .group import (
     GroupElem,
     action_char,
+    action_char_exp,
     check_bounds,
     cocycle_identity_holds,
     star_power,
+    twist_exp,
 )
-from .hecke import HeckeAlgebra, HeckeElem
+from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, independence_exponents
 from .laurent import LaurentAlgebra
 
 __all__ = [
@@ -78,10 +81,16 @@ class Config:
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  ``cases`` is the number of cases the check
+    covers: its samples, pairs, monomials, identities or terms (0 when
+    skipped).  A failing check stops at its witness, which locates the case;
+    a check that would pass with no cases fails with "examined nothing"."""
+
     name: str
     status: str  # "pass" | "fail" | "skipped"
     witness: str | None = None
     ms: float = 0.0
+    cases: int = 0
 
 
 def _rng(cfg: Config, name: str) -> random.Random:
@@ -154,30 +163,36 @@ def run_suite(cfg: Config) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     def check(name: str, fn):
+        """Run fn() -> "skip" or (ok, witness, cases) and record the result."""
         start = time.perf_counter()
         try:
             outcome = fn()
         except Exception as exc:  # a crash is a failure with the error as witness
-            outcome = (False, f"{type(exc).__name__}: {exc}")
+            outcome = (False, f"{type(exc).__name__}: {exc}", 0)
         ms = (time.perf_counter() - start) * 1000.0
         if outcome == "skip":
             results.append(CheckResult(name, "skipped", None, ms))
             return
-        ok, witness = outcome
+        ok, witness, cases = outcome
+        if ok and not cases:
+            ok, witness = False, "examined nothing"
         if ok:
-            results.append(CheckResult(name, "pass", None, ms))
+            results.append(CheckResult(name, "pass", None, ms, cases))
         else:
-            results.append(CheckResult(name, "fail", witness or "(no witness)", ms))
+            results.append(CheckResult(name, "fail", witness or "(no witness)", ms, cases))
 
     def cocycle():
         ok = cocycle_identity_holds(n, ell)
-        return ok, None if ok else f"cocycle identity violated for (n={n}, ell={ell})"
+        witness = None if ok else f"cocycle identity violated for (n={n}, ell={ell})"
+        return ok, witness, ell ** (2 * (n - 1))
 
     check("cocycle-identity", cocycle)
 
     def action_laws():
         rng = _rng(cfg, "action-character-laws")
-        for k in range(60):
+        one = GroupElem.identity(n, ell)
+        samples = 60
+        for k in range(samples):
             g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
             h = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
             p = tuple(rng.randint(-4, 4) for _ in range(n))
@@ -186,9 +201,11 @@ def run_suite(cfg: Config) -> list[CheckResult]:
                 g, p
             ) * action_char(g, q)
             mul_ok = action_char(g * h, p) == action_char(g, p) * action_char(h, p)
-            if not (sum_ok and mul_ok):
-                return False, f"sample #{k}: g={g}, h={h}, p={p}, q={q}"
-        return True, None
+            # c_g . p as products read it from the twist row (b_g . 0 = 0)
+            row_ok = (twist_exp(g, p, one) - action_char_exp(g, p)) % ell == 0
+            if not (sum_ok and mul_ok and row_ok):
+                return False, f"sample #{k}: g={g}, h={h}, p={p}, q={q}", samples
+        return True, None, samples
 
     check("action-character-laws", action_laws)
 
@@ -207,8 +224,8 @@ def run_suite(cfg: Config) -> list[CheckResult]:
                 else:
                     expected = H.zero()
                 if c != expected:
-                    return False, f"[x{i}, x{j}] = {c.render()}"
-        return True, None
+                    return False, f"[x{i}, x{j}] = {c.render()}", n * n
+        return True, None, n * n
 
     check("defining-relations", relations)
 
@@ -216,29 +233,32 @@ def run_suite(cfg: Config) -> list[CheckResult]:
         for i in range(1, n + 1):
             scal, g = star_power(GroupElem.generator(n, ell, i), ell)
             if not g.is_identity():
-                return False, f"g{i}^(*{ell}) has group part {g}"
+                return False, f"g{i}^(*{ell}) has group part {g}", n
             expected = Cyclotomic.from_rational(ell, -1 if (i == n and (n * (ell - 1)) % 2) else 1)
             if scal != expected:
-                return False, f"g{i}^(*{ell}) = {scal}"
-        return True, None
+                return False, f"g{i}^(*{ell}) = {scal}", n
+        return True, None, n
 
     check("star-power-signs", star_signs)
 
     def associativity():
         rng = _rng(cfg, "associativity-samples")
-        for k in range(20):
+        samples = 20
+        for k in range(samples):
             a = random_hecke_elem(H, rng, max_degree=3, max_terms=2)
             b = random_hecke_elem(H, rng, max_degree=3, max_terms=2)
             c = random_hecke_elem(H, rng, max_degree=3, max_terms=2)
             if H.mul(H.mul(a, b), c) != H.mul(a, H.mul(b, c)):
-                return False, f"triple #{k}: a={a.render()}; b={b.render()}; c={c.render()}"
-        return True, None
+                witness = f"triple #{k}: a={a.render()}; b={b.render()}; c={c.render()}"
+                return False, witness, samples
+        return True, None, samples
 
     check("associativity-samples", associativity)
 
     def homomorphism():
         rng = _rng(cfg, "theta-homomorphism-samples")
-        return theta_homomorphism_samples(H, L, rng, 200)
+        samples = 200
+        return *theta_homomorphism_samples(H, L, rng, samples), samples
 
     check("theta-homomorphism-samples", homomorphism)
 
@@ -247,15 +267,15 @@ def run_suite(cfg: Config) -> list[CheckResult]:
             lhs = L.theta(H.x_pow_ell(i))
             rhs = L.theta_xi_ell_closed(i)
             if lhs != rhs:
-                return False, f"theta(x{i}^{ell}) = {lhs.render()}"
-        return True, None
+                return False, f"theta(x{i}^{ell}) = {lhs.render()}", n
+        return True, None, n
 
     check("theta-x-ell-closed-form", closed_x)
 
     def closed_w():
         lhs = L.theta(H.build_w())
         rhs = L.theta_w_closed()
-        return lhs == rhs, None if lhs == rhs else f"theta(w) = {lhs.render()}"
+        return lhs == rhs, None if lhs == rhs else f"theta(w) = {lhs.render()}", 1
 
     check("theta-w-closed-form", closed_w)
 
@@ -263,14 +283,14 @@ def run_suite(cfg: Config) -> list[CheckResult]:
         for i in range(1, n + 1):
             ok, witness = H.is_central(H.x_pow_ell(i))
             if not ok:
-                return False, f"[x{i}^{ell}, -] = {witness.render()}"
-        return True, None
+                return False, f"[x{i}^{ell}, -] = {witness.render()}", n
+        return True, None, n
 
     check("centrality-x-ell", central_x)
 
     def central_w():
         ok, witness = H.is_central(H.build_w())
-        return ok, None if ok else f"[w, -] = {witness.render()}"
+        return ok, None if ok else f"[w, -] = {witness.render()}", 1
 
     check("centrality-w", central_w)
 
@@ -279,53 +299,60 @@ def run_suite(cfg: Config) -> list[CheckResult]:
             return "skip"
         ok, witness = H.is_central(H.gen_x(1))
         if ok:
-            return False, "x1 reported central"
+            return False, "x1 reported central", 1
         expected = H.monomial((0,) * n, GroupElem.generator(n, ell, 1), H.ring.t(1))
         if witness != expected:
-            return False, f"witness = {witness.render()}"
-        return True, None
+            return False, f"witness = {witness.render()}", 1
+        return True, None, 1
 
     check("x1-noncentral-witness", x1_witness)
 
+    # the two summation identities sum one term per independent set of the
+    # n-cycle and one per r = 0..ell/2 respectively
     def leftside():
         ok = L.leftside_identity_check()
-        return ok, None if ok else "left summation identity failed"
+        return ok, None if ok else "left summation identity failed", len(enumerate_J(n))
 
     check("leftside-identity", leftside)
 
     def rightside():
         ok = L.rightside_identity_check()
-        return ok, None if ok else "right summation identity failed"
+        return ok, None if ok else "right summation identity failed", ell // 2 + 1
 
     check("rightside-identity", rightside)
 
     def cheb():
-        for name, fn in (
+        identities = (
             ("che1", chebyshev.identity_che1),
             ("che2", chebyshev.identity_che2),
             ("rho", chebyshev.identity_rho),
-        ):
+        )
+        for name, fn in identities:
             if not fn(ell):
-                return False, f"{name} failed at ell={ell}"
-        return True, None
+                return False, f"{name} failed at ell={ell}", len(identities)
+        return True, None, len(identities)
 
     check("chebyshev-identities", cheb)
 
     def relation_f():
         value = H.evaluate_F()
-        return value.is_zero(), None if value.is_zero() else f"F = {value.render()}"
+        witness = None if value.is_zero() else f"F = {value.render()}"
+        return value.is_zero(), witness, len(H.center_relation_terms())
 
     check("center-relation-F", relation_f)
 
     def independence():
         ok = H.pbw_independence_evidence(cfg.degree_bound)
-        return ok, None if ok else "independence evidence failed"
+        cases = sum(1 for _ in independence_exponents(n, ell, cfg.degree_bound))
+        return ok, None if ok else "independence evidence failed", cases
 
     check("pbw-independence", independence)
 
     def injectivity():
-        ok = L.injectivity_spotcheck(min(4, cfg.degree_bound))
-        return ok, None if ok else "triangularity failed"
+        degree = min(4, cfg.degree_bound)
+        ok = L.injectivity_spotcheck(degree)
+        cases = sum(1 for _ in exponents_bounded(n, degree))
+        return ok, None if ok else "triangularity failed", cases
 
     check("injectivity-spotcheck", injectivity)
 
@@ -333,13 +360,14 @@ def run_suite(cfg: Config) -> list[CheckResult]:
         if n != 3:
             return "skip"
         ok = H.sklyanin_check()
-        return ok, None if ok else "Sklyanin relation failed"
+        return ok, None if ok else "Sklyanin relation failed", 3
 
     check("sklyanin-spotcheck", sklyanin)
 
     def roundtrip():
         rng = _rng(cfg, "parser-roundtrip")
-        return parser_roundtrip_samples(H, L, rng, 100)
+        samples = 100
+        return *parser_roundtrip_samples(H, L, rng, samples), samples
 
     check("parser-roundtrip", roundtrip)
 
@@ -353,7 +381,7 @@ def all_passed(results: list[CheckResult]) -> bool:
 def suite_report(cfg: Config, results: list[CheckResult]) -> dict:
     checks = []
     for r in results:
-        entry = {"name": r.name, "status": r.status, "ms": round(r.ms, 3)}
+        entry = {"name": r.name, "status": r.status, "cases": r.cases, "ms": round(r.ms, 3)}
         if r.witness is not None:
             entry["witness"] = r.witness
         checks.append(entry)

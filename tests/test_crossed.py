@@ -1,10 +1,18 @@
 """The crossed-product core shared by the Hecke and Laurent algebras."""
 
 import itertools
+import random
 
 import pytest
 
-from twisted_hecke.crossed import exponents_bounded
+from twisted_hecke import group
+from twisted_hecke.crossed import Monomial, exponents_bounded
+from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
+from twisted_hecke.exprs import eval_scalar
+from twisted_hecke.group import GroupElem, action_char_exp, alpha, alpha_exp
+from twisted_hecke.hecke import HeckeAlgebra, HeckeElem
+from twisted_hecke.laurent import LaurentAlgebra
+from twisted_hecke.suite import random_hecke_elem
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -14,3 +22,126 @@ def test_exponents_bounded_matches_the_filtered_product(n, d):
     fast = list(exponents_bounded(n, d))
     assert set(fast) == set(brute)
     assert fast == brute  # same lexicographic order, no repeats
+
+
+# -- the twist kernel against the per-term formula -------------------------
+
+ORACLE_T = ("1", "zeta", "1/2", "-2", "zeta^2+1")
+
+
+def t_values(n, ell, specialised):
+    if not specialised:
+        return None
+    return tuple(eval_scalar(ORACLE_T[i % len(ORACLE_T)], ell) for i in range(n))
+
+
+def reference_twist(alg, g, q, h, coeff):
+    """The twist as the kernels computed it term by term before twist rows:
+    the two exponents from their formulas, then a full product by zeta^z."""
+    return coeff.scale(zeta_power(alg.ell, action_char_exp(g, q) + alpha_exp(g, h)))
+
+
+def reference_crossed_mul(alg, a, b):
+    out = {}
+    for (p, g), ca in a.terms.items():
+        for (q, h), cb in b.terms.items():
+            v = reference_twist(alg, g, q, h, ca * cb)
+            accumulate(out, Monomial(tuple(x + y for x, y in zip(p, q)), g * h), v)
+    return alg.elem_type(alg, out)
+
+
+def reference_hecke_mul(H, a, b):
+    out = {}
+    for (p, g), ca in a.terms.items():
+        for (q, h), cb in b.terms.items():
+            base = reference_twist(H, g, q, h, ca * cb)
+            for (q2, g2), c in H._normal_product(p, q, g * h).items():
+                accumulate(out, Monomial(q2, g2), base * c)
+    return HeckeElem(H, out)
+
+
+def random_laurent_elem(L, rng):
+    """A few monomials with exponents of both signs, so char(g, q) sees q < 0."""
+    n, ell = L.n, L.ell
+    total = L.zero()
+    for _ in range(rng.randint(1, 3)):
+        p = tuple(rng.randint(-3, 3) for _ in range(n))
+        g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
+        rat = Cyclotomic.from_rational(ell, rng.choice((1, -2, 3)))
+        coeff = L.ring.from_cyclotomic(zeta_power(ell, rng.randrange(ell)) * rat)
+        if rng.random() < 0.5:
+            coeff = coeff * L.ring.t(rng.randint(1, n))
+        total = total + L.monomial(p, g, coeff)
+    return total
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n,ell", [(3, 2), (4, 3), (5, 4), (16, 2)])
+def test_kernels_match_the_per_term_formula(n, ell, specialised):
+    t = t_values(n, ell, specialised)
+    H, L = HeckeAlgebra(n, ell, t), LaurentAlgebra(n, ell, t)
+    rng = random.Random(f"kernel:{n}:{ell}:{specialised}")
+    for _ in range(15):
+        a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
+        assert H.gr_mul(a, b) == reference_crossed_mul(H, a, b)
+        assert H.mul(a, b) == reference_hecke_mul(H, a, b)
+        x, y = random_laurent_elem(L, rng), random_laurent_elem(L, rng)
+        assert L.lmul(x, y) == reference_crossed_mul(L, x, y)
+
+
+def test_insert_twists_by_the_cocycle_formula():
+    # x_i (x^q g) is (x_i x^q) g: each term c x^r k of _insert(i, q, 1) turns
+    # into alpha(k, g) c x^r (kg), with alpha from its formula
+    for n, ell in [(3, 2), (4, 3), (5, 4)]:
+        H = HeckeAlgebra(n, ell)
+        rng = random.Random(f"insert:{n}:{ell}")
+        for _ in range(40):
+            i = rng.randint(1, n)
+            q = tuple(rng.randint(0, 3) for _ in range(n))
+            g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
+            expected = [
+                (r, k * g, c.scale(alpha(k, g)))
+                for r, k, c in H._insert(i, q, H.identity_g)
+            ]
+            assert list(H._insert(i, q, g)) == expected
+
+
+def test_rows_are_built_for_the_elements_used_only():
+    # at (16, 2) the group has 2^15 elements; a product builds one row per
+    # left factor it meets, and nothing sized by |G|
+    H = HeckeAlgebra(16, 2)
+    rng = random.Random("rows")
+    a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
+    before = {e for e in group._TWIST_ROWS if len(e) == 15}
+    H.mul(a, b)
+    L = LaurentAlgebra(16, 2)
+    L.lmul(L.theta(a), L.theta(b))
+    built = {e for e in group._TWIST_ROWS if len(e) == 15} - before
+    assert len(built) <= 100
+
+
+def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
+    # with t specialised every coefficient is one term, so an r-term by an
+    # s-term product costs r*s Q(zeta) products; zeta^k scaling adds none
+    n, ell = 4, 3
+    L = LaurentAlgebra(n, ell, t_values(n, ell, True))
+    rng = random.Random("count")
+    a = sum((random_laurent_elem(L, rng) for _ in range(3)), L.zero())
+    b = sum((random_laurent_elem(L, rng) for _ in range(3)), L.zero())
+    twisted = sum(
+        1
+        for (_, g), _ in a.terms.items()
+        for (q, h), _ in b.terms.items()
+        if (action_char_exp(g, q) + alpha_exp(g, h)) % ell
+    )
+    assert twisted > 0
+    calls = []
+    original = Cyclotomic.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+    L.lmul(a, b)
+    assert len(calls) == len(a.terms) * len(b.terms)

@@ -256,6 +256,22 @@ def test_arithmetic_matches_fraction_vector_reference(case, k):
             assert ref_reduce(ell, ref_mul(got, power)) == ref_one(ell)
 
 
+@given(
+    st.sampled_from(REF_ELLS).flatmap(
+        lambda ell: st.tuples(st.just(ell), ref_elements(ell), st.integers(-2 * ell, 2 * ell))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_times_zeta_matches_the_product(case):
+    ell, cs, k = case
+    x = Cyclotomic(ell, cs)
+    assert assert_canonical(x.times_zeta(k)) == x * zeta_power(ell, k)
+    if ell >= 2:  # the smallest order a parameter ring accepts
+        ring = ParamRing(3, ell)
+        p = ring.t(2).scale(x) + ring.from_cyclotomic(x * x)
+        assert p.times_zeta(k) == p.scale(zeta_power(ell, k))
+
+
 @pytest.mark.parametrize("ell", REF_ELLS)
 def test_equal_values_from_different_routes_hash_equal(ell):
     one = Cyclotomic.one(ell)
@@ -296,7 +312,7 @@ def test_products_and_sums_create_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for a in (x, y, q, zeta_power(5, 3)):
         for b in (x, y, q, zeta_power(5, 2)):
-            a * b, a + b, a - b, -a, a == b, hash(a), a.is_one(), bool(a)
+            a * b, a + b, a - b, -a, a == b, hash(a), a.is_one(), bool(a), a.times_zeta(3)
     assert created == []
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from twisted_hecke import crossed, hecke, laurent
+from twisted_hecke import crossed, group, hecke, laurent, suite
 from twisted_hecke.cli import main
 from twisted_hecke.cyclotomic import Cyclotomic
+from twisted_hecke.group import GroupElem, cocycle_identity_holds
 from twisted_hecke.hecke import HeckeAlgebra
 from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import (
@@ -121,11 +122,52 @@ def test_report_schema(results32):
         "seed": 0,
     }
     for entry in report["checks"]:
-        assert set(entry) <= {"name", "status", "witness", "ms"}
+        assert {"name", "status", "cases", "ms"} <= set(entry)
+        assert set(entry) <= {"name", "status", "cases", "witness", "ms"}
         assert entry["status"] in ("pass", "fail", "skipped")
     assert report["summary"]["ok"] is True
     assert report["summary"]["total"] == len(EXPECTED_CHECKS)
     json.dumps(report)  # must be serializable as-is
+
+
+def test_every_check_reports_its_cases(results32):
+    cases = {r.name: r.cases for r in results32}
+    assert cases["cocycle-identity"] == 2**4  # |G|^2 pairs
+    assert cases["action-character-laws"] == 60
+    assert cases["theta-homomorphism-samples"] == 200
+    assert cases["pbw-independence"] == 35 + 10  # x^(2p) w^m: 2|p| + 3m <= 8, m < 2
+    assert cases["injectivity-spotcheck"] == 35  # |p| <= 4 in three variables
+    assert all(c > 0 for c in cases.values())
+    skipped = run_suite(Config(n=4, ell=2))[-2]
+    assert skipped.name == "sklyanin-spotcheck" and skipped.cases == 0
+
+
+def test_a_check_that_examines_nothing_fails(monkeypatch):
+    # both finite-evidence sweeps and their counts enumerate exponents; with
+    # none they would pass vacuously
+    def nothing(n, total):
+        return iter(())
+
+    for module in (hecke, laurent, suite):
+        monkeypatch.setattr(module, "exponents_bounded", nothing)
+    by_name = {r.name: r for r in run_suite(Config(n=3, ell=2))}
+    for name in ("pbw-independence", "injectivity-spotcheck"):
+        r = by_name[name]
+        assert (r.status, r.witness, r.cases) == ("fail", "examined nothing", 0)
+    assert by_name["cocycle-identity"].status == "pass"
+
+
+def test_twist_checks_reject_a_corrupted_row(monkeypatch):
+    # off by one in both vectors of g1's row, which every product reads
+    n, ell = 3, 2
+    g1 = GroupElem.generator(n, ell, 1)
+    c, b = group.twist_row(g1)
+    corrupt = (c[:-1] + (c[-1] + 1,), b[:-1] + (b[-1] + 1,))
+    monkeypatch.setitem(group._TWIST_ROWS, g1.e, corrupt)
+    assert not cocycle_identity_holds(n, ell)
+    by_name = {r.name: r.status for r in run_suite(Config(n=n, ell=ell))}
+    assert by_name["cocycle-identity"] == "fail"
+    assert by_name["action-character-laws"] == "fail"
 
 
 def test_failures_carry_witnesses():
