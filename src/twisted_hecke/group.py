@@ -186,8 +186,9 @@ def twist_row(g: GroupElem) -> tuple:
 def twist_exp(g: GroupElem, q, h: GroupElem) -> int:
     """Exponent of zeta in char(g, q) alpha(g, h), reduced to 0..ell-1: the
     twist of the term pair (m^p g)(m^q h), read from g's twist row.  Both
-    crossed-product kernels and the PBW insertion step take it from here;
-    g and h must lie in the same group."""
+    crossed-product kernels, the PBW insertion step and theta's right
+    multiplication by g take it from here; g and h must lie in the same
+    group."""
     c, b = _TWIST_ROWS.get(g.e) or twist_row(g)
     return (sum(map(mul, c, q)) + sum(map(mul, b, h.e))) % g.ell
 

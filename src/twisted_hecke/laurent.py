@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .crossed import CrossedAlgebra, CrossedElem, Monomial, crossed_mul, exponents_bounded
 from .cyclotomic import zeta_power
-from .group import GroupElem
+from .group import GroupElem, twist_exp
 from .hecke import HeckeElem, relation_a_terms, relation_b_terms
 
 __all__ = ["LaurentMonomial", "LaurentElem", "LaurentAlgebra"]
@@ -106,11 +106,18 @@ class LaurentAlgebra(CrossedAlgebra):
         if not self.ring.same_parameters(a.alg.ring):
             raise ValueError("Hecke element from an incompatible configuration")
         total = self.zero()
+        zero = self._zero_p
         for (p, g), c in a.terms.items():
-            img = self._theta_monomial(p)
+            img = self._theta_monomial(p).scale(c)
             if not g.is_identity():
-                img = self.lmul(img, self.monomial(self._zero_p, g))
-            total = total + img.scale(c)
+                # times y^0 g, a term map: c' y^q h -> alpha(h, g) c' y^q (hg),
+                # and h -> hg never merges two terms
+                terms = {
+                    LaurentMonomial(q, h * g): v.times_zeta(twist_exp(h, zero, g))
+                    for (q, h), v in img.terms.items()
+                }
+                img = LaurentElem(self, terms)
+            total = total + img
         return total
 
     # -- closed forms and identities ---------------------------------------

@@ -89,6 +89,23 @@ def test_kernels_match_the_per_term_formula(n, ell, specialised):
         assert L.lmul(x, y) == reference_crossed_mul(L, x, y)
 
 
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n,ell", [(3, 2), (4, 3), (5, 4)])
+def test_theta_multiplies_by_g_as_the_kernel_does(n, ell, specialised):
+    # theta(c x^p g) is c theta(x^p) times y^0 g through the reference product
+    t = t_values(n, ell, specialised)
+    H, L = HeckeAlgebra(n, ell, t), LaurentAlgebra(n, ell, t)
+    rng = random.Random(f"theta:{n}:{ell}:{specialised}")
+    zero = (0,) * n
+    for _ in range(15):
+        a = random_hecke_elem(H, rng)
+        expected = L.zero()
+        for (p, g), c in a.terms.items():
+            img = reference_crossed_mul(L, L._theta_monomial(p), L.monomial(zero, g))
+            expected = expected + img.scale(c)
+        assert L.theta(a) == expected
+
+
 def test_insert_twists_by_the_cocycle_formula():
     # x_i (x^q g) is (x_i x^q) g: each term c x^r k of _insert(i, q, 1) turns
     # into alpha(k, g) c x^r (kg), with alpha from its formula
