@@ -10,11 +10,15 @@ are stored in PBW normal form: finite sums of monomials
 x_1^(p_1) ... x_n^(p_n) g with coefficients in Q(zeta)[t_1..t_n].
 
 Multiplication normal-orders the concatenated word by moving each left
-factor x_i rightward to its slot.  Passing a power x_j^m is free unless the
-pair is cyclically adjacent, in which case a correction term of total
-degree two lower is emitted: the relation contributes +-t g, the group
-element picks up an action character while commuting to the right end, and
-a geometric sum in zeta accounts for the copies of x_j already passed.
+factor x_i rightward to its slot.  The group factor of a PBW monomial sits
+at the right end, so x_i (x^q g) = (x_i x^q) g: the rewriting happens at
+g = 1, its caches are keyed by exponents alone, and the group factor is
+applied once, on the right, where c x^r k times g is alpha(k, g) c x^r (kg).
+Passing a power x_j^m is free unless the pair is cyclically adjacent, in
+which case a correction term of total degree two lower is emitted: the
+relation contributes +-t g, the group element picks up an action character
+while commuting to the right end, and a geometric sum in zeta accounts for
+the copies of x_j already passed.
 Each step either lowers the inversion count at constant degree or lowers
 the degree by two, so the rewriting terminates; associativity and agreement
 with the Laurent-side embedding are checked by the test suite, which makes
@@ -166,78 +170,69 @@ class HeckeAlgebra(CrossedAlgebra):
 
     # -- multiplication --------------------------------------------------
 
-    def _insert(self, i: int, q: tuple, g: GroupElem):
-        """x_i * (x^q g) in PBW form, as ((exponents, group, coeff), ...).
+    def _insert(self, i: int, q: tuple):
+        """x_i * x^q in PBW form, as ((exponents, group, coeff), ...).
 
-        The main term moves x_i to its slot.  When x_i passes a cyclically
-        adjacent block a correction appears: the pair is consumed by the
-        defining relation, the geometric factor sums the characters from
-        copies of the passed generator, and the action character plus
-        cocycle move the new group element to the right end.
+        The rewriting happens at g = 1, since x_i (x^q g) = (x_i x^q) g; the
+        callers apply the group factor on the right.  The main term moves x_i
+        to its slot.  Passing a cyclically adjacent block x_j^m consumes the
+        pair by relation r as s t_r g_r, and g_r picks up the geometric factor
+        sum_(v<m) zeta^(s(q_i - v)) on its way past the copies of x_j and x_i.
         """
-        key = (i, q, g)
+        key = (i, q)
         hit = self._insert_cache.get(key)
         if hit is not None:
             return hit
         n, ell, ring = self.n, self.ell, self.ring
         main = list(q)
         main[i - 1] += 1
-        out = [(tuple(main), g, ring.one())]
-        if i >= 2 and q[i - 2]:
-            m = q[i - 2]
-            scal = Cyclotomic.zero(ell)
-            for v in range(m):
-                scal = scal + zeta_power(ell, v)
-            gi = GroupElem.generator(n, ell, i - 1)
-            scal = scal.times_zeta(twist_exp(gi, self._zero_p, g) - q[i - 1])
-            coeff = ring.t(i - 1).scale(-scal)
+        out = [(tuple(main), self.identity_g, ring.one())]
+        # (relation r, passed position, sign s): x_(i-1) before x_i, x_1 after x_n
+        for r, j, s in [(i - 1, i - 2, -1)] * (i >= 2) + [(n, 0, 1)] * (i == n):
+            terms = (zeta_power(ell, s * (q[i - 1] - v)) for v in range(q[j]))
+            scal = sum(terms, Cyclotomic.zero(ell))
+            coeff = ring.t(r).scale(scal if s > 0 else -scal)
             if coeff:
                 lower = list(q)
-                lower[i - 2] -= 1
-                out.append((tuple(lower), gi * g, coeff))
-        if i == n and q[0]:
-            m = q[0]
-            scal = Cyclotomic.zero(ell)
-            for v in range(m):
-                scal = scal + zeta_power(ell, -v)
-            gn = GroupElem.generator(n, ell, n)
-            scal = scal.times_zeta(twist_exp(gn, self._zero_p, g) + q[n - 1])
-            coeff = ring.t(n).scale(scal)
-            if coeff:
-                lower = list(q)
-                lower[0] -= 1
-                out.append((tuple(lower), gn * g, coeff))
+                lower[j] -= 1
+                out.append((tuple(lower), GroupElem.generator(n, ell, r), coeff))
         out = tuple(out)
         self._insert_cache[key] = out
         return out
 
-    def _normal_product(self, p: tuple, q: tuple, g: GroupElem) -> dict:
-        """Normal form of x^p * x^q * g as {(exponents, group): coeff}."""
-        key = (p, q, g)
+    def _normal_product(self, p: tuple, q: tuple) -> dict:
+        """Normal form of x^p * x^q as {(exponents, group): coeff}: an
+        inserted term c x^r k landing on a word that ends in gg becomes
+        alpha(k, gg) c x^r (k gg)."""
+        key = (p, q)
         hit = self._product_cache.get(key)
         if hit is not None:
             return hit
-        one = self.ring.one()
-        cur = {(q, g): one}
+        one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
+        cur = {(q, ident): one}
         for i in range(self.n, 0, -1):
             for _ in range(p[i - 1]):
                 nxt: dict = {}
                 for (qq, gg), c in cur.items():
-                    for q2, g2, c2 in self._insert(i, qq, gg):
+                    for q2, k, c2 in self._insert(i, qq):
                         if c2 is one:
                             nc = c
                         elif c is one:
                             nc = c2
                         else:
                             nc = c * c2
-                        accumulate(nxt, (q2, g2), nc)
+                        if k is not ident:
+                            nc = nc.times_zeta(twist_exp(k, zero, gg))
+                        accumulate(nxt, (q2, gg if k is ident else k * gg), nc)
                 cur = nxt
         self._product_cache[key] = cur
         return cur
 
     def mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        """Product in H, returned in canonical PBW form."""
+        """Product in H in canonical PBW form: each term pair is twisted as in
+        the crossed product, normal-ordered at g = 1 and multiplied by gh."""
         a._compat(b)
+        one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
         out: dict = {}
         for (p, g), ca in a.terms.items():
             for (q, h), cb in b.terms.items():
@@ -245,9 +240,12 @@ class HeckeAlgebra(CrossedAlgebra):
                 z = twist_exp(g, q, h)
                 if z:
                     base = base.times_zeta(z)
-                for (q2, g2), c in self._normal_product(p, q, g * h).items():
-                    v = base if c is self.ring._one else base * c
-                    accumulate(out, PBWMonomial(q2, g2), v)
+                gh = g * h
+                for (q2, k), c in self._normal_product(p, q).items():
+                    v = base if c is one else base * c
+                    if k is not ident:
+                        v = v.times_zeta(twist_exp(k, zero, gh))
+                    accumulate(out, PBWMonomial(q2, gh if k is ident else k * gh), v)
         return HeckeElem(self, out)
 
     # product in the associated graded algebra: the crossed product of the

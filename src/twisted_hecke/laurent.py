@@ -18,6 +18,8 @@ as exact checks.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .crossed import CrossedAlgebra, CrossedElem, Monomial, crossed_mul, exponents_bounded
 from .cyclotomic import zeta_power
 from .group import GroupElem, twist_exp
@@ -46,8 +48,7 @@ class LaurentAlgebra(CrossedAlgebra):
     def __init__(self, n: int, ell: int, t_values=None):
         super().__init__(n, ell, t_values)
         self._theta_x: dict[int, LaurentElem] = {}
-        self._theta_x_pows: dict = {}
-        self._theta_mono: dict = {}
+        self._theta_mono: dict = {self._zero_p: self.one()}
 
     def gen_y(self, i: int, k: int = 1) -> LaurentElem:
         return self._gen_power(i, k)
@@ -77,26 +78,27 @@ class LaurentAlgebra(CrossedAlgebra):
         self._theta_x[i] = result
         return result
 
-    def _theta_x_pow(self, i: int, k: int) -> LaurentElem:
-        key = (i, k)
-        cached = self._theta_x_pows.get(key)
-        if cached is None:
-            if k == 0:
-                cached = self.one()
-            else:
-                cached = self.lmul(self._theta_x_pow(i, k - 1), self.theta_x(i))
-            self._theta_x_pows[key] = cached
-        return cached
-
     def _theta_monomial(self, p: tuple) -> LaurentElem:
-        cached = self._theta_mono.get(p)
-        if cached is None:
-            cached = self.one()
-            for i, k in enumerate(p, start=1):
-                if k:
-                    cached = self.lmul(cached, self._theta_x_pow(i, k))
-            self._theta_mono[p] = cached
-        return cached
+        """theta(x^p) = theta(x^(p - e_j)) theta(x_j), with j the last nonzero
+        position of p.  Every link of the chain is cached; theta(x^0) = 1 and
+        theta(x_j) need no product.  The chain is built in a loop from its
+        longest cached prefix, so no recursion grows with |p|."""
+        cache = self._theta_mono
+        chain = []
+        while p not in cache:
+            j = len(p) - 1
+            while not p[j]:
+                j -= 1
+            rest = p[:j] + (p[j] - 1,) + p[j + 1 :]
+            if not any(rest):
+                cache[p] = self.theta_x(j + 1)
+                break
+            chain.append((p, j + 1))
+            p = rest
+        img = cache[p]
+        for link, i in reversed(chain):
+            img = cache[link] = self.lmul(img, self.theta_x(i))
+        return img
 
     def theta(self, a: HeckeElem) -> LaurentElem:
         """Image of a Hecke element: each PBW monomial x^p g maps to
@@ -156,10 +158,8 @@ class LaurentAlgebra(CrossedAlgebra):
         closed = {i: self.theta_xi_ell_closed(i) for i in range(1, self.n + 1)}
         total = self.zero()
         for v, coeff in relation_a_terms(self.ring):
-            prod = self.one()
-            for i in range(1, self.n + 1):
-                if v[i - 1]:
-                    prod = self.lmul(prod, closed[i])
+            factors = [closed[i] for i in range(1, self.n + 1) if v[i - 1]]
+            prod = reduce(self.lmul, factors) if factors else self.one()
             total = total + prod.scale(coeff)
         return total == self._power_sum_rhs()
 
@@ -167,9 +167,9 @@ class LaurentAlgebra(CrossedAlgebra):
         """sum_r (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r bt^(ell-2r),
         with bt the closed form of theta(w), equals the same right side."""
         bt = self.theta_w_closed()
-        bt_pows = {0: self.one()}
-        for k in range(1, self.ell + 1):
-            bt_pows[k] = self.lmul(bt_pows[k - 1], bt)
+        bt_pows = [self.one(), bt]
+        while len(bt_pows) <= self.ell:
+            bt_pows.append(self.lmul(bt_pows[-1], bt))
         total = self.zero()
         for bexp, coeff in relation_b_terms(self.ring):
             total = total + bt_pows[bexp].scale(coeff)

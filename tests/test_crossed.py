@@ -1,5 +1,6 @@
 """The crossed-product core shared by the Hecke and Laurent algebras."""
 
+import hashlib
 import itertools
 import random
 
@@ -55,8 +56,10 @@ def reference_hecke_mul(H, a, b):
     for (p, g), ca in a.terms.items():
         for (q, h), cb in b.terms.items():
             base = reference_twist(H, g, q, h, ca * cb)
-            for (q2, g2), c in H._normal_product(p, q, g * h).items():
-                accumulate(out, Monomial(q2, g2), base * c)
+            gh = g * h
+            # x^p x^q normal-ordered at g = 1, then each term c x^r k times gh
+            for (r, k), c in H._normal_product(p, q).items():
+                accumulate(out, Monomial(r, k * gh), (base * c).scale(alpha(k, gh)))
     return HeckeElem(H, out)
 
 
@@ -107,8 +110,9 @@ def test_theta_multiplies_by_g_as_the_kernel_does(n, ell, specialised):
 
 
 def test_insert_twists_by_the_cocycle_formula():
-    # x_i (x^q g) is (x_i x^q) g: each term c x^r k of _insert(i, q, 1) turns
-    # into alpha(k, g) c x^r (kg), with alpha from its formula
+    # x_i (x^q g) is (x_i x^q) g: the product through the public mul equals
+    # the terms c x^r k of _insert(i, q), each turned into alpha(k, g) c x^r (kg)
+    # with alpha from its formula
     for n, ell in [(3, 2), (4, 3), (5, 4)]:
         H = HeckeAlgebra(n, ell)
         rng = random.Random(f"insert:{n}:{ell}")
@@ -116,11 +120,41 @@ def test_insert_twists_by_the_cocycle_formula():
             i = rng.randint(1, n)
             q = tuple(rng.randint(0, 3) for _ in range(n))
             g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
-            expected = [
-                (r, k * g, c.scale(alpha(k, g)))
-                for r, k, c in H._insert(i, q, H.identity_g)
-            ]
-            assert list(H._insert(i, q, g)) == expected
+            expected = {}
+            for r, k, c in H._insert(i, q):
+                accumulate(expected, Monomial(r, k * g), c.scale(alpha(k, g)))
+            assert H.mul(H.gen_x(i), H.monomial(q, g)) == HeckeElem(H, expected)
+
+
+def is_exponent_data(x):
+    return type(x) is int or (type(x) is tuple and all(type(e) is int for e in x))
+
+
+def test_rewriting_caches_hold_no_group_element():
+    # the same x-words multiplied once with g = 1 operands and once with
+    # random group parts leave the same cache keys, all of exponent data
+    for n, ell in [(4, 3), (5, 4)]:
+        rng = random.Random(f"caches:{n}:{ell}")
+
+        def random_g():
+            return GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
+
+        words = [
+            tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2))
+            for _ in range(20)
+        ]
+        keys = []
+        for with_g in (False, True):
+            H = HeckeAlgebra(n, ell)
+            for p, q in words:
+                g, h = (random_g(), random_g()) if with_g else (None, None)
+                H.mul(H.monomial(p, g), H.monomial(q, h))
+            keys.append((set(H._insert_cache), set(H._product_cache)))
+        assert keys[0] == keys[1]
+        inserts, products = keys[0]
+        assert inserts and products
+        for key in inserts | products:
+            assert len(key) == 2 and all(map(is_exponent_data, key))
 
 
 def test_rows_are_built_for_the_elements_used_only():
@@ -162,3 +196,25 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "__mul__", counting)
     L.lmul(a, b)
     assert len(calls) == len(a.terms) * len(b.terms)
+
+
+GOLDEN_PRODUCTS_SHA256 = "a349352a9ed06462b28d9b5f918bc36344c2c9568a6754bf26d0403ec2586ac7"
+
+
+def test_products_with_group_parts_render_as_pinned():
+    # a guard that shares no code path with the rewriting: the sha256 of the
+    # canonical renderings of H.mul(a, b) and theta(a) for seeded random
+    # elements with group parts, pinned from an engine that carried g through
+    # every insertion and product, so moving where g is applied cannot change
+    # a product unseen
+    digest = hashlib.sha256()
+    for n, ell in [(3, 2), (4, 3), (5, 4), (3, 6)]:
+        for specialised in (False, True):
+            t = t_values(n, ell, specialised)
+            H, L = HeckeAlgebra(n, ell, t), LaurentAlgebra(n, ell, t)
+            rng = random.Random(f"golden:{n}:{ell}:{specialised}")
+            for _ in range(25):
+                a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
+                digest.update(H.mul(a, b).render().encode() + b"\n")
+                digest.update(L.theta(a).render().encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_PRODUCTS_SHA256
