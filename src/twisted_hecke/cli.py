@@ -157,7 +157,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "grid":
-        points = _parse_points(args.points) if args.points else DEFAULT_GRID
+        points = DEFAULT_GRID if args.points is None else _parse_points(args.points)
         report = run_grid(points, degree_bound=args.degree_bound, seed=args.seed)
         for entry in report["suites"]:
             cfg = entry["config"]

@@ -17,8 +17,10 @@ which a group element acts on a monomial with a given exponent vector.
 Both exponents are linear in the second argument, so each element g has a
 twist row (c_g, b_g) with action_char_exp(g, q) = c_g . q and
 alpha_exp(g, h) = b_g . f_h.  The crossed-product kernels read the exponent
-of every term pair, c_g . q + b_g . f_h mod ell, from ``twist_exp``; the
-cocycle and action-character checks compare those rows with the formulas.
+of every term pair, c_g . q + b_g . f_h mod ell, from ``twist_exp``.
+``check_twist_rows`` checks the rows from the generators: their rows against
+the formulas, and every row against the sum of the generator rows it is
+built from, which makes the twist every product reads bilinear.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "star_mul",
     "star_power",
     "all_elements",
+    "check_twist_rows",
     "cocycle_identity_holds",
     "check_bounds",
 ]
@@ -220,30 +223,55 @@ def all_elements(n: int, ell: int):
         yield GroupElem(n, ell, e)
 
 
-def cocycle_identity_holds(n: int, ell: int) -> bool:
-    """Check alpha(g,h)*alpha(gh,k) == alpha(h,k)*alpha(g,hk) on all of G.
+def check_twist_rows(n: int, ell: int, part: str):
+    """Check the c part ("char") or the b part ("alpha") of the twist rows
+    every product reads; returns (ok, witness, cases).
 
-    Exact and exhaustive through one sweep over the |G|^2 pairs.  With the
-    Gram matrix A_kl = alpha_exp(g_k, g_l) on the generators g_1..g_(n-1),
-    the sweep checks alpha_exp(g^e, g^f) == sum_(k,l) e_k f_l A_kl (mod ell)
-    for every pair, and that the exponent every product reads,
-    ``twist_exp(g, 0, h)`` from the twist row of g, equals alpha_exp(g, h)
-    (mod ell).  Agreement on all pairs makes the exponent the kernels use a
-    bilinear form B on G, and any bilinear B satisfies
+    Entries are read through ``twist_exp`` as the products read them: c_g . e_j
+    is twist_exp(g, e_j, 1) and b_g . f_(g_l) is twist_exp(g, 0, g_l).
 
-        B(g,h) + B(g+h,k) = B(g,h) + B(g,k) + B(h,k) = B(h,k) + B(g,h+k),
+    (G) on the generators g_1..g_(n-1), the entries equal the formulas,
+        C_kj = action_char_exp(g_k, e_j) (n(n-1) entries) or
+        A_kl = alpha_exp(g_k, g_l) ((n-1)^2 entries);
+    (L) the row of every g = g_1^(e_1)...g_(n-1)^(e_(n-1)), g_n included, is
+        sum_k e_k row(g_k) mod ell: |G| rows.
+
+    Together they make the exponent every product reads
+    z(g, q, h) = sum e_k q_j C_kj + sum e_k f_l A_kl mod ell.  So char(g, q)
+    is bilinear in (g, q), which gives char(g, p+q) = char(g, p) char(g, q)
+    and char(gh, p) = char(g, p) char(h, p) for all g, h, p, q; and
+    alpha = zeta^B with B bilinear, and any bilinear B satisfies
+
+        B(g,h) + B(gh,k) = B(g,h) + B(g,k) + B(h,k) = B(h,k) + B(g,hk),
 
     which is the cocycle identity on all |G|^3 triples.
     """
-    gens = [GroupElem.generator(n, ell, i) for i in range(1, n)]
-    gram = [[alpha_exp(a, b) for b in gens] for a in gens]
-    elems = list(all_elements(n, ell))
-    zero = (0,) * n
-    for g in elems:
-        # row_l = sum_k e_k A_kl, so the bilinear value at (g, h) is row . f
-        row = [sum(ek * col[l] for ek, col in zip(g.e, gram)) for l in range(n - 1)]
-        for h in elems:
-            a = alpha_exp(g, h)
-            if (a - sum(map(mul, row, h.e))) % ell or (twist_exp(g, zero, h) - a) % ell:
-                return False
-    return True
+    gens = [GroupElem.generator(n, ell, k) for k in range(1, n)]
+    if part == "char":
+        args, formula = [tuple(int(i == j) for i in range(n)) for j in range(n)], action_char_exp
+        probes = [(q, GroupElem.identity(n, ell)) for q in args]
+    else:
+        args, formula = gens, alpha_exp
+        probes = [((0,) * n, h) for h in gens]
+    cases = len(gens) * len(args) + ell ** (n - 1)
+
+    def read(g):
+        return [twist_exp(g, q, h) for q, h in probes]
+
+    rows = [read(g) for g in gens]
+    for g, row in zip(gens, rows):
+        for a, z in zip(args, row):
+            if (z - formula(g, a)) % ell:
+                witness = f"{part}({g}, {a}) is {formula(g, a) % ell}, the row reads {z}"
+                return False, witness, cases
+    cols = list(zip(*rows))
+    for g in all_elements(n, ell):
+        if read(g) != [sum(map(mul, g.e, col)) % ell for col in cols]:
+            return False, f"the row of {g} is not the sum of its generators' rows", cases
+    return True, None, cases
+
+
+def cocycle_identity_holds(n: int, ell: int) -> bool:
+    """Check alpha(g,h)*alpha(gh,k) == alpha(h,k)*alpha(g,hk) on all of G,
+    exactly, through the twist rows the products read (``check_twist_rows``)."""
+    return check_twist_rows(n, ell, "alpha")[0]

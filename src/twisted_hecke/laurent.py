@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .crossed import CrossedAlgebra, CrossedElem, Monomial, crossed_mul, exponents_bounded
-from .cyclotomic import zeta_power
+from .cyclotomic import accumulate, zeta_power
 from .group import GroupElem, twist_exp
 from .hecke import HeckeElem, relation_a_terms, relation_b_terms
 
@@ -107,20 +107,20 @@ class LaurentAlgebra(CrossedAlgebra):
             raise TypeError("theta expects a Hecke element")
         if not self.ring.same_parameters(a.alg.ring):
             raise ValueError("Hecke element from an incompatible configuration")
-        total = self.zero()
+        total: dict = {}
+        one = self.ring.one()
         zero = self._zero_p
         for (p, g), c in a.terms.items():
-            img = self._theta_monomial(p).scale(c)
-            if not g.is_identity():
-                # times y^0 g, a term map: c' y^q h -> alpha(h, g) c' y^q (hg),
-                # and h -> hg never merges two terms
-                terms = {
-                    LaurentMonomial(q, h * g): v.times_zeta(twist_exp(h, zero, g))
-                    for (q, h), v in img.terms.items()
-                }
-                img = LaurentElem(self, terms)
-            total = total + img
-        return total
+            scaled, moved = c != one, not g.is_identity()
+            for m, v in self._theta_monomial(p).terms.items():
+                if scaled:
+                    v = v * c
+                if moved:
+                    # times y^0 g: c' y^q h -> alpha(h, g) c' y^q (hg)
+                    q, h = m
+                    m, v = LaurentMonomial(q, h * g), v.times_zeta(twist_exp(h, zero, g))
+                accumulate(total, m, v)
+        return LaurentElem(self, total)
 
     # -- closed forms and identities ---------------------------------------
 

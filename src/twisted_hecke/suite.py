@@ -20,15 +20,7 @@ from . import chebyshev
 from .crossed import exponents_bounded
 from .cyclotomic import Cyclotomic, zeta_power
 from .exprs import eval_hecke, eval_laurent, parse
-from .group import (
-    GroupElem,
-    action_char,
-    action_char_exp,
-    check_bounds,
-    cocycle_identity_holds,
-    star_power,
-    twist_exp,
-)
+from .group import GroupElem, check_bounds, check_twist_rows, star_power
 from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, independence_exponents
 from .laurent import LaurentAlgebra
 
@@ -182,32 +174,13 @@ def run_suite(cfg: Config) -> list[CheckResult]:
             results.append(CheckResult(name, "fail", witness or "(no witness)", ms, cases))
 
     def cocycle():
-        ok = cocycle_identity_holds(n, ell)
-        witness = None if ok else f"cocycle identity violated for (n={n}, ell={ell})"
-        return ok, witness, ell ** (2 * (n - 1))
+        ok, witness, cases = check_twist_rows(n, ell, "alpha")
+        if not ok:
+            witness = f"cocycle identity violated for (n={n}, ell={ell}): {witness}"
+        return ok, witness, cases
 
     check("cocycle-identity", cocycle)
-
-    def action_laws():
-        rng = _rng(cfg, "action-character-laws")
-        one = GroupElem.identity(n, ell)
-        samples = 60
-        for k in range(samples):
-            g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
-            h = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
-            p = tuple(rng.randint(-4, 4) for _ in range(n))
-            q = tuple(rng.randint(-4, 4) for _ in range(n))
-            sum_ok = action_char(g, tuple(a + b for a, b in zip(p, q))) == action_char(
-                g, p
-            ) * action_char(g, q)
-            mul_ok = action_char(g * h, p) == action_char(g, p) * action_char(h, p)
-            # c_g . p as products read it from the twist row (b_g . 0 = 0)
-            row_ok = (twist_exp(g, p, one) - action_char_exp(g, p)) % ell == 0
-            if not (sum_ok and mul_ok and row_ok):
-                return False, f"sample #{k}: g={g}, h={h}, p={p}, q={q}", samples
-        return True, None, samples
-
-    check("action-character-laws", action_laws)
+    check("action-character-laws", lambda: check_twist_rows(n, ell, "char"))
 
     def relations():
         for i in range(1, n + 1):
@@ -395,19 +368,18 @@ def suite_report(cfg: Config, results: list[CheckResult]) -> dict:
     return {"config": cfg.describe(), "checks": checks, "summary": summary}
 
 
-def run_grid(
-    points=DEFAULT_GRID, degree_bound: int = 8, seed: int = 0, t_values=None
-) -> dict:
+def run_grid(points=DEFAULT_GRID, degree_bound: int = 8, seed: int = 0) -> dict:
     """Run the suite over a grid of (n, ell) points; combined JSON report."""
+    points = tuple(points)
     suites = []
     ok = True
     for n, ell in points:
-        cfg = Config(n=n, ell=ell, t_values=t_values, degree_bound=degree_bound, seed=seed)
+        cfg = Config(n=n, ell=ell, degree_bound=degree_bound, seed=seed)
         results = run_suite(cfg)
         suites.append(suite_report(cfg, results))
         ok = ok and all_passed(results)
     return {
         "grid": [{"n": n, "ell": ell} for n, ell in points],
         "suites": suites,
-        "summary": {"ok": ok, "points": len(list(points))},
+        "summary": {"ok": ok, "points": len(points)},
     }

@@ -1,6 +1,7 @@
 """The homocyclic group, its cocycle, and the action characters."""
 
 import itertools
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from twisted_hecke.group import (
     action_char_exp,
     all_elements,
     alpha,
+    check_twist_rows,
     cocycle_identity_holds,
     star_mul,
     star_power,
@@ -153,6 +155,94 @@ def test_cocycle_checks_reject_a_non_cocycle(n, ell, monkeypatch):
     monkeypatch.setattr(group, "alpha_exp", lambda g, h: real(g, h) + (g == g1 == h))
     assert not cocycle_holds_on_triples(n, ell)
     assert not cocycle_identity_holds(n, ell)
+
+
+def cocycle_holds_on_pairs(n, ell):
+    """The |G|^2 pair sweep the row check replaces, through the current
+    bindings: with A_kl = alpha_exp(g_k, g_l), alpha_exp(g^e, g^f) equals
+    sum e_k f_l A_kl and the exponent products read, twist_exp(g, 0, h),
+    equals alpha_exp(g, h) on every pair (mod ell)."""
+    gens = [gen(n, ell, i) for i in range(1, n)]
+    gram = [[group.alpha_exp(a, b) for b in gens] for a in gens]
+    elems = list(all_elements(n, ell))
+    zero = (0,) * n
+    for g in elems:
+        row = [sum(ek * col[l] for ek, col in zip(g.e, gram)) for l in range(n - 1)]
+        for h in elems:
+            a = group.alpha_exp(g, h)
+            if (a - sum(map(mul, row, h.e))) % ell or (group.twist_exp(g, zero, h) - a) % ell:
+                return False
+    return True
+
+
+def action_laws_hold(n, ell):
+    """Exhaustive reference for the action check: for every g, h in G, p in
+    {-1, 0, 1}^n and unit vectors q, the exponent products read,
+    z(g, p) = twist_exp(g, p, 1), equals action_char_exp(g, p) and satisfies
+    z(g, p + q) = z(g, p) + z(g, q) and z(gh, q) = z(g, q) + z(h, q) (mod ell)."""
+    one = GroupElem.identity(n, ell)
+    elems = list(all_elements(n, ell))
+    box = list(itertools.product((-1, 0, 1), repeat=n))
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+    def z(g, p):
+        return group.twist_exp(g, p, one)
+
+    for g in elems:
+        for p in box:
+            if (z(g, p) - group.action_char_exp(g, p)) % ell:
+                return False
+            for q in units:
+                if (z(g, tuple(map(sum, zip(p, q)))) - z(g, p) - z(g, q)) % ell:
+                    return False
+        for h, q in itertools.product(elems, units):
+            if (z(g * h, q) - z(g, q) - z(h, q)) % ell:
+                return False
+    return True
+
+
+AGREEMENT_POINTS = SMALL_GROUPS + [(4, 3)]
+
+
+def twist_verdicts(n, ell):
+    return {
+        "rows-alpha": check_twist_rows(n, ell, "alpha")[0],
+        "pairs": cocycle_holds_on_pairs(n, ell),
+        "triples": cocycle_holds_on_triples(n, ell),
+        "rows-char": check_twist_rows(n, ell, "char")[0],
+        "action": action_laws_hold(n, ell),
+    }
+
+
+@pytest.mark.parametrize("n,ell", AGREEMENT_POINTS)
+def test_twist_checks_agree_with_the_references(n, ell):
+    assert set(twist_verdicts(n, ell).values()) == {True}
+    assert check_twist_rows(n, ell, "alpha")[2] == (n - 1) ** 2 + ell ** (n - 1)
+    assert check_twist_rows(n, ell, "char")[2] == n * (n - 1) + ell ** (n - 1)
+
+
+@pytest.mark.parametrize("n,ell", AGREEMENT_POINTS)
+@pytest.mark.parametrize("corruption", ["g1-row", "alpha-g1-g1", "g1g2-row"])
+def test_twist_checks_and_references_agree_on_corruptions(n, ell, corruption, monkeypatch):
+    g1, g2 = gen(n, ell, 1), gen(n, ell, 2)
+    if corruption == "alpha-g1-g1":
+        # the formula itself stops being a cocycle; the rows are untouched
+        real = group.alpha_exp
+        monkeypatch.setattr(group, "alpha_exp", lambda g, h: real(g, h) + (g == g1 == h))
+        broken = {"rows-alpha", "pairs", "triples"}
+    else:
+        # off by one in the last entry of both vectors of a generator's row,
+        # which (G) sees, or of a row only (L) sees; the formulas the triples
+        # read are untouched
+        g = g1 if corruption == "g1-row" else g1 * g2
+        c, b = group.twist_row(g)
+        monkeypatch.setitem(group._TWIST_ROWS, g.e, (c[:-1] + (c[-1] + 1,), b[:-1] + (b[-1] + 1,)))
+        broken = {"rows-alpha", "pairs", "rows-char", "action"}
+    verdicts = twist_verdicts(n, ell)
+    assert {name for name, ok in verdicts.items() if not ok} == broken
+    if corruption == "g1g2-row":
+        assert "the row of g2*g1" in check_twist_rows(n, ell, "alpha")[1]
+        assert "the row of g2*g1" in check_twist_rows(n, ell, "char")[1]
 
 
 @pytest.mark.parametrize("n,ell", [(3, 4), (4, 3), (4, 4), (5, 3), (4, 7)])

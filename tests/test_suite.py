@@ -132,8 +132,9 @@ def test_report_schema(results32):
 
 def test_every_check_reports_its_cases(results32):
     cases = {r.name: r.cases for r in results32}
-    assert cases["cocycle-identity"] == 2**4  # |G|^2 pairs
-    assert cases["action-character-laws"] == 60
+    # (n-1)^2 or n(n-1) generator entries, then the |G| rows
+    assert cases["cocycle-identity"] == 2**2 + 2**2
+    assert cases["action-character-laws"] == 3 * 2 + 2**2
     assert cases["theta-homomorphism-samples"] == 200
     assert cases["pbw-independence"] == 35 + 10  # x^(2p) w^m: 2|p| + 3m <= 8, m < 2
     assert cases["injectivity-spotcheck"] == 35  # |p| <= 4 in three variables
@@ -184,6 +185,12 @@ def test_run_grid_single_point():
     assert report["summary"]["ok"] is True
     assert report["grid"] == [{"n": 3, "ell": 2}]
     assert len(report["suites"]) == 1
+
+
+def test_run_grid_takes_points_from_an_iterator():
+    report = run_grid(iter([(3, 2)]))
+    assert report["grid"] == [{"n": 3, "ell": 2}]
+    assert report["summary"] == {"ok": True, "points": 1}
 
 
 def test_config_validation():
@@ -273,6 +280,7 @@ def test_cli_grid_with_points(capsys, tmp_path):
         ["verify", "--n", "3", "--ell", "2", "--t", "1,2"],
         ["normalize", "--n", "3", "--ell", "2", "x9"],
         ["verify", "--n", "3", "--ell", "2", "--degree-bound", "-1"],
+        ["grid", "--points", ""],
     ],
 )
 def test_cli_bad_input_is_one_line_and_exit_2(argv, capsys):
