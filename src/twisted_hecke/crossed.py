@@ -10,9 +10,9 @@ crossed-product law
 
 which is the whole multiplication of the Laurent algebra and the
 associated graded multiplication of the Hecke algebra.  The twist
-char(g, q) alpha(g, h) is zeta^z with z = c_g . q + b_g . f_h, read from
-the twist row of g (``group.twist_exp``) and applied to the coefficient as
-a shift (``times_zeta``), not a product.  This module holds that law, the
+char(g, q) alpha(g, h) is zeta^z, with z evaluated from the exponent
+vector of g (``group.twist_exp``) and applied to the coefficient as a
+shift (``times_zeta``), not a product.  This module holds that law, the
 sparse element arithmetic around it and the algebra plumbing; the
 subclasses add PBW rewriting (Hecke) and theta (Laurent).
 """

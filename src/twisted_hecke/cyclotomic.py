@@ -9,12 +9,13 @@ terms (gcd(den, *num) == 1, zero is 0/1).  Equality is therefore structural
 and every comparison is exact.  Phi_ell is monic with integer coefficients,
 so a product is an integer convolution, an integer reduction and one gcd;
 ``fractions.Fraction`` appears only where values enter or leave (the
-constructor, ``from_rational``, ``coeffs``) and in the rare ``inv``.
+constructor, ``from_rational``, ``coeffs``).  Every reduction past phi(ell)
+is one integer fold, ``_fold``.
 
 Working modulo Phi_ell rather than modulo z^ell - 1 makes the quotient a
-field: every nonzero element has an inverse (computed by the extended
-Euclidean algorithm) and primitivity of zeta is built in.  No floating
-point is used anywhere.
+field: every nonzero element has an inverse (its Galois conjugates over its
+norm) and primitivity of zeta is built in.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -53,13 +54,12 @@ def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _power_table(ell: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced integer representatives of z^k mod Phi_ell for all k needed
-    by products of reduced elements: 0 <= k <= max(2*deg - 2, ell - 1)."""
+    """Reduced integer representatives of z^k mod Phi_ell for 0 <= k < ell;
+    z^ell = 1, so row k mod ell stands for every power z^k."""
     phi = [int(c) for c in cyclotomic_polynomial(ell)]
     m = len(phi) - 1
-    top = max(2 * m - 2, ell - 1, 0)
     rows: list[tuple[int, ...]] = []
-    for k in range(top + 1):
+    for k in range(ell):
         if k < m:
             rows.append(tuple(int(j == k) for j in range(m)))
         else:
@@ -67,6 +67,26 @@ def _power_table(ell: int) -> tuple[tuple[int, ...], ...]:
             lead = prev[m - 1]
             rows.append(tuple(a - lead * c for a, c in zip((0,) + prev[: m - 1], phi)))
     return tuple(rows)
+
+
+def _fold(ell: int, v: list) -> list:
+    """Reduce the integer coordinates v, ascending in z and of any length,
+    modulo Phi_ell in place and return v: each coordinate at z^k with
+    k >= phi(ell) folds through the row of z^(k mod ell), and v is cut or
+    padded to phi(ell) entries.  Phi_ell is monic over Z, so every row is
+    integral."""
+    table = _power_table(ell)
+    m = len(table[0])
+    for k in range(m, len(v)):
+        a = v[k]
+        if a:
+            for j, r in enumerate(table[k % ell]):
+                if r:
+                    v[j] += a * r
+    del v[m:]
+    if len(v) < m:
+        v += [0] * (m - len(v))
+    return v
 
 
 def _degree(ell: int) -> int:
@@ -89,20 +109,11 @@ class Cyclotomic:
         of zeta; the input is reduced modulo Phi_ell."""
         if ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell}")
-        table = _power_table(ell)
         fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in fracs))
-        acc = [0] * _degree(ell)
-        for k, c in enumerate(fracs):
-            if not c:
-                continue
-            a = c.numerator * (den // c.denominator)
-            row = table[k] if k < len(table) else table[k % ell]
-            for j, r in enumerate(row):
-                if r:
-                    acc[j] += a * r
+        num = _fold(ell, [c.numerator * (den // c.denominator) for c in fracs])
         self.ell = ell
-        self.num, self.den = _lowest_terms(acc, den)
+        self.num, self.den = _lowest_terms(num, den)
 
     @classmethod
     def _make(cls, ell: int, num: tuple, den: int) -> "Cyclotomic":
@@ -196,56 +207,43 @@ class Cyclotomic:
             if x:
                 for j, y in enumerate(b, i):
                     conv[j] += x * y
-        # fold z^k, k >= m, back through its reduced row; Phi_ell is monic
-        # over Z, so every row is integral
-        table = _power_table(self.ell)
-        for k in range(m, 2 * m - 1):
-            c = conv[k]
-            if c:
-                for j, r in enumerate(table[k]):
-                    conv[j] += c * r
-        del conv[m:]
-        return Cyclotomic._make(self.ell, *_lowest_terms(conv, self.den * o.den))
+        num = _fold(self.ell, conv)
+        return Cyclotomic._make(self.ell, *_lowest_terms(num, self.den * o.den))
 
     __rmul__ = __mul__
 
     def times_zeta(self, k: int) -> "Cyclotomic":
-        """self * zeta^k without a product: z^k maps z^j to z^((j+k) mod ell),
-        so the numerator, padded to length ell, shifts cyclically and each
-        coordinate landing at z^r with r >= phi(ell) folds through its power
-        table row (one row when ell is prime).  zeta^k is a unit of Z[zeta],
-        so the numerator's gcd with den is unchanged and stays 1."""
+        """self * zeta^k without a product: the numerator moves up k places,
+        from z^j to z^(j+k), and folds.  zeta^k is a unit of Z[zeta], so the
+        numerator's gcd with den is unchanged and stays 1."""
         ell = self.ell
         k %= ell
         if not k:
             return self
-        num = self.num
-        m = len(num)
-        v = num + (0,) * (ell - m)
-        v = v[ell - k:] + v[: ell - k]
-        out = list(v[:m])
-        table = _power_table(ell)
-        for r in range(m, ell):
-            a = v[r]
-            if a:
-                for j, c in enumerate(table[r]):
-                    if c:
-                        out[j] += a * c
-        return Cyclotomic._make(ell, tuple(out), self.den)
+        v = [0] * k
+        v += self.num
+        return Cyclotomic._make(ell, tuple(_fold(ell, v)), self.den)
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        With a = den * self in Z[zeta], the product c of the conjugates
+        sigma_k(a) = sum a_j zeta^(jk) over the units k != 1 of Z/ell makes
+        N = a c the norm of a, a nonzero integer, and self^-1 = den c / N."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        num = self.num
+        ell, num = self.ell, self.num
         if not any(num[1:]):
-            return Cyclotomic.from_rational(self.ell, Fraction(self.den, num[0]))
-        a = _trim(list(self.coeffs))
-        b = list(cyclotomic_polynomial(self.ell))
-        g, u = _poly_xgcd(a, b)
-        # Phi_ell is irreducible over Q, so the gcd is a nonzero constant
-        scale = 1 / g[0]
-        return Cyclotomic(self.ell, [c * scale for c in u])
+            return Cyclotomic.from_rational(ell, Fraction(self.den, num[0]))
+        conj = Cyclotomic.one(ell)
+        for k in range(2, ell):
+            if gcd(k, ell) == 1:
+                v = [0] * (k * (len(num) - 1) + 1)
+                v[::k] = num
+                conj = conj * Cyclotomic._make(ell, tuple(_fold(ell, v)), 1)
+        norm = (Cyclotomic._make(ell, num, 1) * conj).num[0]
+        scale = self.den if norm > 0 else -self.den
+        return Cyclotomic._make(ell, *_lowest_terms([scale * c for c in conj.num], abs(norm)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -330,38 +328,6 @@ def _poly_divmod(a, b):
             for j in range(d + 1):
                 r[k - d + j] -= c * b[j]
     return q, _trim(r)
-
-
-def _poly_xgcd(a, b):
-    """Return (g, u) with u*a = g modulo b, for trimmed nonzero a."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_F1], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        u = _poly_sub(u0, _poly_mul(q, u1))
-        r0, r1 = r1, r
-        u0, u1 = u1, u
-    return r0, u0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    out = [_F0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
 
 
 def format_rational(q: Fraction) -> str:

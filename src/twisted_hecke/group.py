@@ -15,18 +15,18 @@ property rather than an assumption.  ``action_char`` gives the scalar by
 which a group element acts on a monomial with a given exponent vector.
 
 Both exponents are linear in the second argument, so each element g has a
-twist row (c_g, b_g) with action_char_exp(g, q) = c_g . q and
-alpha_exp(g, h) = b_g . f_h.  The crossed-product kernels read the exponent
-of every term pair, c_g . q + b_g . f_h mod ell, from ``twist_exp``.
-``check_twist_rows`` checks the rows from the generators: their rows against
-the formulas, and every row against the sum of the generator rows it is
-built from, which makes the twist every product reads bilinear.
+twist row: the linear map (q, h) -> action_char_exp(g, q) + alpha_exp(g, h),
+which ``twist_exp(g, q, h)`` evaluates mod ell straight from g's exponent
+vector.  The crossed-product kernels read the exponent of every term pair
+from it.  ``check_twist_rows`` checks the rows from the generators: their
+rows against the formulas, and every row against the sum of the generator
+rows it is built from, which makes the twist every product reads bilinear.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from operator import mul, sub
 
 from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
 
@@ -36,7 +36,6 @@ __all__ = [
     "alpha_exp",
     "action_char",
     "action_char_exp",
-    "twist_row",
     "twist_exp",
     "star_mul",
     "star_power",
@@ -164,36 +163,15 @@ def action_char_exp(g: GroupElem, p) -> int:
     return sum(e[k] * (p[k] - p[k + 1]) for k in range(len(e)))
 
 
-# twist rows by exponent vector e: a row depends on e alone, and rows for
-# every n share one map because e has length n - 1
-_TWIST_ROWS: dict = {}
-# a process that touches more elements than this starts the map over
-_MAX_TWIST_ROWS = 1 << 16
-
-
-def twist_row(g: GroupElem) -> tuple:
-    """(c_g, b_g) with action_char_exp(g, q) == c_g . q and
-    alpha_exp(g, h) == b_g . f_h, built on first use and cached by value."""
-    e = g.e
-    row = _TWIST_ROWS.get(e)
-    if row is None:
-        if len(_TWIST_ROWS) >= _MAX_TWIST_ROWS:
-            _TWIST_ROWS.clear()
-        # c_j = e_j - e_(j-1) and b_l = -e_(l-1), with e_(-1) = e_(n-1) = 0
-        c = tuple([a - b for a, b in zip(e + (0,), (0,) + e)])
-        b = (0,) + tuple([-a for a in e[:-1]])
-        row = _TWIST_ROWS[e] = (c, b)
-    return row
-
-
 def twist_exp(g: GroupElem, q, h: GroupElem) -> int:
     """Exponent of zeta in char(g, q) alpha(g, h), reduced to 0..ell-1: the
-    twist of the term pair (m^p g)(m^q h), read from g's twist row.  Both
-    crossed-product kernels and the right multiplications by a group factor
-    in the PBW product and in theta take it from here; g and h must lie in
-    the same group."""
-    c, b = _TWIST_ROWS.get(g.e) or twist_row(g)
-    return (sum(map(mul, c, q)) + sum(map(mul, b, h.e))) % g.ell
+    twist of the term pair (m^p g)(m^q h), evaluated as
+    sum_k e_k (q_k - q_(k+1)) - sum_k e_k f_(k+1) from g = g^e and h = g^f.
+    Both crossed-product kernels and the right multiplications by a group
+    factor in the PBW product and in theta take it from here; g and h must
+    lie in the same group."""
+    e = g.e
+    return (sum(map(mul, e, map(sub, q, q[1:]))) - sum(map(mul, e, h.e[1:]))) % g.ell
 
 
 def action_char(g: GroupElem, p) -> Cyclotomic:
@@ -224,11 +202,12 @@ def all_elements(n: int, ell: int):
 
 
 def check_twist_rows(n: int, ell: int, part: str):
-    """Check the c part ("char") or the b part ("alpha") of the twist rows
-    every product reads; returns (ok, witness, cases).
+    """Check the char part or the alpha part of the twist rows every product
+    reads; returns (ok, witness, cases).  ``part`` is "char" or "alpha".
 
-    Entries are read through ``twist_exp`` as the products read them: c_g . e_j
-    is twist_exp(g, e_j, 1) and b_g . f_(g_l) is twist_exp(g, 0, g_l).
+    The row of g is the linear map twist_exp(g, ., .), and its entries are
+    read as the products read them: the char entry at e_j is
+    twist_exp(g, e_j, 1) and the alpha entry at g_l is twist_exp(g, 0, g_l).
 
     (G) on the generators g_1..g_(n-1), the entries equal the formulas,
         C_kj = action_char_exp(g_k, e_j) (n(n-1) entries) or
@@ -250,9 +229,11 @@ def check_twist_rows(n: int, ell: int, part: str):
     if part == "char":
         args, formula = [tuple(int(i == j) for i in range(n)) for j in range(n)], action_char_exp
         probes = [(q, GroupElem.identity(n, ell)) for q in args]
-    else:
+    elif part == "alpha":
         args, formula = gens, alpha_exp
         probes = [((0,) * n, h) for h in gens]
+    else:
+        raise ValueError(f"part must be 'char' or 'alpha', got {part!r}")
     cases = len(gens) * len(args) + ell ** (n - 1)
 
     def read(g):

@@ -338,7 +338,10 @@ class HeckeAlgebra(CrossedAlgebra):
         """Check that the normal forms of x^(ell p) w^m (0 <= m < ell,
         bounded total degree) each contain their expected leading monomial
         x^(ell p + m delta) with nonzero coefficient, and that these leading
-        monomials are pairwise distinct."""
+        monomials are pairwise distinct.  A negative bound would examine
+        nothing and raises ValueError."""
+        if max_total_degree < 0:
+            raise ValueError(f"max_total_degree must be >= 0, got {max_total_degree}")
         seen = set()
         for p, m in independence_exponents(self.n, self.ell, max_total_degree):
             prod = self.mul(

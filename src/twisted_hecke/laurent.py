@@ -47,7 +47,6 @@ class LaurentAlgebra(CrossedAlgebra):
 
     def __init__(self, n: int, ell: int, t_values=None):
         super().__init__(n, ell, t_values)
-        self._theta_x: dict[int, LaurentElem] = {}
         self._theta_mono: dict = {self._zero_p: self.one()}
 
     def gen_y(self, i: int, k: int = 1) -> LaurentElem:
@@ -64,25 +63,16 @@ class LaurentAlgebra(CrossedAlgebra):
 
     def theta_x(self, i: int) -> LaurentElem:
         """theta(x_i) = y_i - (zeta t_i/(zeta-1)) y_(i+1)^(-1) g_i, mod-n."""
-        cached = self._theta_x.get(i)
-        if cached is not None:
-            return cached
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        n, ell, ring = self.n, self.ell, self.ring
-        zeta = zeta_power(ell, 1)
-        coeff = ring.t(i).scale(-(zeta * (zeta - 1).inv()))
-        q_low = tuple(-1 if j == i % n else 0 for j in range(n))
-        gi = GroupElem.generator(n, ell, i)
-        result = self.gen_y(i) + self.monomial(q_low, gi, coeff)
-        self._theta_x[i] = result
-        return result
+        return self._theta_monomial(tuple(int(j == i - 1) for j in range(self.n)))
 
     def _theta_monomial(self, p: tuple) -> LaurentElem:
         """theta(x^p) = theta(x^(p - e_j)) theta(x_j), with j the last nonzero
         position of p.  Every link of the chain is cached; theta(x^0) = 1 and
-        theta(x_j) need no product.  The chain is built in a loop from its
-        longest cached prefix, so no recursion grows with |p|."""
+        theta(x_j), built here from its closed form, need no product.  The
+        chain is built in a loop from its longest cached prefix, so no
+        recursion grows with |p|."""
         cache = self._theta_mono
         chain = []
         while p not in cache:
@@ -91,7 +81,12 @@ class LaurentAlgebra(CrossedAlgebra):
                 j -= 1
             rest = p[:j] + (p[j] - 1,) + p[j + 1 :]
             if not any(rest):
-                cache[p] = self.theta_x(j + 1)
+                i, n = j + 1, self.n
+                zeta = zeta_power(self.ell, 1)
+                coeff = self.ring.t(i).scale(-(zeta * (zeta - 1).inv()))
+                q_low = tuple(-1 if k == i % n else 0 for k in range(n))
+                gi = GroupElem.generator(n, self.ell, i)
+                cache[p] = self.gen_y(i) + self.monomial(q_low, gi, coeff)
                 break
             chain.append((p, j + 1))
             p = rest
@@ -186,7 +181,10 @@ class LaurentAlgebra(CrossedAlgebra):
         term c y^q h to alpha(h, g) c y^q (hg).  That map is injective on
         monomials, keeps every degree and scales every coefficient by a root
         of unity, and the leading term y^p 1 picks up alpha(1, g) = 1.
+        A negative bound would examine nothing and raises ValueError.
         """
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         one = self.ring.one()
         for p in exponents_bounded(self.n, max_degree):
             d = sum(p)

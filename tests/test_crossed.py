@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from twisted_hecke import group
 from twisted_hecke.crossed import Monomial, exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
 from twisted_hecke.exprs import eval_scalar
@@ -155,20 +154,6 @@ def test_rewriting_caches_hold_no_group_element():
         assert inserts and products
         for key in inserts | products:
             assert len(key) == 2 and all(map(is_exponent_data, key))
-
-
-def test_rows_are_built_for_the_elements_used_only():
-    # at (16, 2) the group has 2^15 elements; a product builds one row per
-    # left factor it meets, and nothing sized by |G|
-    H = HeckeAlgebra(16, 2)
-    rng = random.Random("rows")
-    a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
-    before = {e for e in group._TWIST_ROWS if len(e) == 15}
-    H.mul(a, b)
-    L = LaurentAlgebra(16, 2)
-    L.lmul(L.theta(a), L.theta(b))
-    built = {e for e in group._TWIST_ROWS if len(e) == 15} - before
-    assert len(built) <= 100
 
 
 def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):

@@ -11,7 +11,6 @@ from twisted_hecke.coeffring import ParamRing
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
     _poly_divmod,
-    _poly_mul,
     accumulate,
     cyclotomic_polynomial,
     power_by_squaring,
@@ -43,7 +42,7 @@ def test_product_over_divisors_is_power_minus_one(ell):
     prod = [F(1)]
     for d in range(1, ell + 1):
         if ell % d == 0:
-            prod = _poly_mul(prod, list(cyclotomic_polynomial(d)))
+            prod = ref_mul(prod, list(cyclotomic_polynomial(d)))
     expected = [F(0)] * (ell + 1)
     expected[0], expected[ell] = F(-1), F(1)
     assert prod == expected
@@ -81,6 +80,26 @@ def test_inverse_examples():
     b = zeta_power(4, 1) - 1
     assert b.inv() == Cyclotomic(4, [F(-1, 2), F(-1, 2)])
     assert b * b.inv() == Cyclotomic.one(4)
+
+
+@pytest.mark.parametrize("ell", [15, 16, 20, 24, 30])
+def test_inverse_through_many_conjugates(ell):
+    # phi(ell) = 8 at each of these orders, so the norm multiplies seven
+    # Galois conjugates, and Phi_ell has coefficients other than 0 and 1
+    one = Cyclotomic.one(ell)
+    z = zeta_power(ell, 1)
+    samples = [
+        z - 1,
+        z + F(1, 3),
+        Cyclotomic(ell, [F(1, 2), -3, 0, F(5, 7), 1, 0, 0, -2]),
+        Cyclotomic(ell, [F(k - 4, k + 1) for k in range(ell + 2)]),
+        (z + 2) * zeta_power(ell, 5) * F(-6, 11),
+    ]
+    for x in samples:
+        assert x
+        inv = assert_canonical(x.inv())
+        assert assert_canonical(x * inv) == one
+        assert inv.inv() == x
 
 
 def test_inverse_of_zero_raises():

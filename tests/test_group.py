@@ -234,15 +234,23 @@ def test_twist_checks_and_references_agree_on_corruptions(n, ell, corruption, mo
         # off by one in the last entry of both vectors of a generator's row,
         # which (G) sees, or of a row only (L) sees; the formulas the triples
         # read are untouched
-        g = g1 if corruption == "g1-row" else g1 * g2
-        c, b = group.twist_row(g)
-        monkeypatch.setitem(group._TWIST_ROWS, g.e, (c[:-1] + (c[-1] + 1,), b[:-1] + (b[-1] + 1,)))
+        target = g1 if corruption == "g1-row" else g1 * g2
+        real = group.twist_exp
+        monkeypatch.setattr(
+            group, "twist_exp", lambda g, q, h: real(g, q, h) + (g == target) * (q[-1] + h.e[-1])
+        )
         broken = {"rows-alpha", "pairs", "rows-char", "action"}
     verdicts = twist_verdicts(n, ell)
     assert {name for name, ok in verdicts.items() if not ok} == broken
     if corruption == "g1g2-row":
         assert "the row of g2*g1" in check_twist_rows(n, ell, "alpha")[1]
         assert "the row of g2*g1" in check_twist_rows(n, ell, "char")[1]
+
+
+@pytest.mark.parametrize("part", ["Char", "action", "", "alpha "])
+def test_twist_check_rejects_an_unknown_part(part):
+    with pytest.raises(ValueError, match="part must be"):
+        check_twist_rows(3, 2, part)
 
 
 @pytest.mark.parametrize("n,ell", [(3, 4), (4, 3), (4, 4), (5, 3), (4, 7)])

@@ -159,12 +159,13 @@ def test_a_check_that_examines_nothing_fails(monkeypatch):
 
 
 def test_twist_checks_reject_a_corrupted_row(monkeypatch):
-    # off by one in both vectors of g1's row, which every product reads
+    # off by one in both vectors of g1's row, as the twist checks read it
     n, ell = 3, 2
     g1 = GroupElem.generator(n, ell, 1)
-    c, b = group.twist_row(g1)
-    corrupt = (c[:-1] + (c[-1] + 1,), b[:-1] + (b[-1] + 1,))
-    monkeypatch.setitem(group._TWIST_ROWS, g1.e, corrupt)
+    real = group.twist_exp
+    monkeypatch.setattr(
+        group, "twist_exp", lambda g, q, h: real(g, q, h) + (g == g1) * (q[-1] + h.e[-1])
+    )
     assert not cocycle_identity_holds(n, ell)
     by_name = {r.name: r.status for r in run_suite(Config(n=n, ell=ell))}
     assert by_name["cocycle-identity"] == "fail"
@@ -224,6 +225,14 @@ def test_degree_bound_zero_examines_cases(monkeypatch):
     assert examined == [(0, 0, 0)] * 2
     by_name = {r.name: r.status for r in run_suite(Config(n=3, ell=2, degree_bound=0))}
     assert by_name["pbw-independence"] == by_name["injectivity-spotcheck"] == "pass"
+
+
+def test_negative_degree_bound_is_rejected_not_passed():
+    # a negative bound leaves nothing to examine, so neither method may pass
+    with pytest.raises(ValueError, match="max_total_degree"):
+        HeckeAlgebra(3, 2).pbw_independence_evidence(-1)
+    with pytest.raises(ValueError, match="max_degree"):
+        LaurentAlgebra(3, 2).injectivity_spotcheck(-1)
 
 
 # -- CLI ------------------------------------------------------------------
