@@ -10,10 +10,17 @@ dense exponent tuples of length n.  A ParamRing holds the configuration
                       (-1)^(n(ell-1)) for i = n.
 
 Symbolic t is the default; a ring may instead be constructed with concrete
-Q(zeta) values for the t_i, in which case ``t(i)`` is a constant and every
-downstream identity is checked at that specialization.  An identity that
-holds symbolically holds for every complex specialization, so the symbolic
-mode is the strongest form of verification available here.
+Q(zeta) values for the t_i, in which case every downstream identity is
+checked at that specialization.  An identity that holds symbolically holds
+for every complex specialization, so the symbolic mode is the strongest form
+of verification available here.
+
+A specialized ring is Q(zeta) itself: every constructor, ``t(i)`` included,
+hands out a bare Cyclotomic, with no ParamPoly around it.  Both types serve
+the algebras through one coefficient protocol (+, -, *, ``scale``,
+``times_zeta``, ``is_zero``/bool, ==, hash and ``factor_terms``), and a
+constant renders the same either way, so the ring is the only place that
+knows whether t is specialized.
 """
 
 from __future__ import annotations
@@ -201,8 +208,9 @@ class ParamPoly:
 class ParamRing:
     """Configuration object for Q(zeta)[t_1..t_n], optionally specialized.
 
-    ``t_values`` is either None (symbolic parameters) or a sequence of n
-    Cyclotomic scalars substituted for the t_i at construction time.
+    ``t_values`` is either None (symbolic parameters, ParamPoly values) or a
+    sequence of n Cyclotomic scalars substituted for the t_i at construction
+    time (Cyclotomic values).
     """
 
     __slots__ = ("n", "ell", "t_values", "_one", "_zero", "_zeta")
@@ -211,61 +219,80 @@ class ParamRing:
         check_bounds(n, ell)
         self.n = n
         self.ell = ell
-        if t_values is not None:
+        one = Cyclotomic.one(ell)
+        if t_values is None:
+            self._one = ParamPoly(n, ell, {(0,) * n: one}, _canonical=True)
+            self._zero = ParamPoly(n, ell, {}, _canonical=True)
+        else:
             t_values = tuple(t_values)
             if len(t_values) != n:
                 raise ValueError(f"expected {n} parameter values, got {len(t_values)}")
             for v in t_values:
                 if not isinstance(v, Cyclotomic) or v.ell != ell:
                     raise ValueError("parameter values must be Cyclotomic of matching ell")
+            self._one, self._zero = one, Cyclotomic.zero(ell)
         self.t_values = t_values
-        self._one = ParamPoly(n, ell, {(0,) * n: Cyclotomic.one(ell)}, _canonical=True)
-        self._zero = ParamPoly(n, ell, {}, _canonical=True)
         self._zeta = zeta_power(ell, 1)
 
-    def zero(self) -> ParamPoly:
+    def zero(self) -> ParamPoly | Cyclotomic:
         return self._zero
 
-    def one(self) -> ParamPoly:
+    def one(self) -> ParamPoly | Cyclotomic:
         return self._one
 
-    def from_cyclotomic(self, c: Cyclotomic) -> ParamPoly:
+    def from_cyclotomic(self, c: Cyclotomic) -> ParamPoly | Cyclotomic:
         if c.ell != self.ell:
             raise ValueError("scalar from a different cyclotomic field")
+        if self.t_values is not None:
+            return c
         if c.is_zero():
             return self._zero
         return ParamPoly(self.n, self.ell, {(0,) * self.n: c}, _canonical=True)
 
-    def from_rational(self, q) -> ParamPoly:
+    def from_rational(self, q) -> ParamPoly | Cyclotomic:
         return self.from_cyclotomic(Cyclotomic.from_rational(self.ell, q))
 
-    def zeta(self, k: int = 1) -> ParamPoly:
+    def zeta(self, k: int = 1) -> ParamPoly | Cyclotomic:
         return self.from_cyclotomic(zeta_power(self.ell, k))
 
-    def t(self, i: int) -> ParamPoly:
+    def coerce(self, value) -> ParamPoly | Cyclotomic | None:
+        """``value`` as an element of this ring, or None when it is not a
+        scalar.  A ParamPoly is evaluated at the ring's t when t is
+        specialized; one from another (n, ell) raises ValueError."""
+        if isinstance(value, ParamPoly):
+            if value.n != self.n or value.ell != self.ell:
+                raise ValueError("coefficient from an incompatible parameter ring")
+            return value if self.t_values is None else value.specialize(self.t_values)
+        if isinstance(value, Cyclotomic):
+            return self.from_cyclotomic(value)
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        return None
+
+    def t(self, i: int) -> ParamPoly | Cyclotomic:
         """The i-th deformation parameter (1-based), or its specialization."""
         if not 1 <= i <= self.n:
             raise ValueError(f"parameter index {i} out of range 1..{self.n}")
         if self.t_values is not None:
-            return self.from_cyclotomic(self.t_values[i - 1])
+            return self.t_values[i - 1]
         e = tuple(1 if j == i - 1 else 0 for j in range(self.n))
         return ParamPoly(self.n, self.ell, {e: Cyclotomic.one(self.ell)}, _canonical=True)
 
-    def tau(self, i: int) -> ParamPoly:
+    def tau(self, i: int) -> ParamPoly | Cyclotomic:
         """t_i/(zeta - 1) for i < n and zeta*t_n/(zeta - 1) for i = n."""
         inv = (self._zeta - 1).inv()
         if i == self.n:
             inv = inv * self._zeta
         return self.t(i).scale(inv)
 
-    def tau_tilde(self, i: int) -> ParamPoly:
+    def tau_tilde(self, i: int) -> ParamPoly | Cyclotomic:
         """The ell-th power of tau(i), signed by (-1)^(n(ell-1)) when i = n."""
         p = self.tau(i) ** self.ell
         if i == self.n and (self.n * (self.ell - 1)) % 2:
             p = -p
         return p
 
-    def tau_product(self) -> ParamPoly:
+    def tau_product(self) -> ParamPoly | Cyclotomic:
         """The product tau_1 * ... * tau_n."""
         p = self._one
         for i in range(1, self.n + 1):

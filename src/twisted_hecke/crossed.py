@@ -2,9 +2,9 @@
 shared by the Hecke algebra and its Laurent oracle.
 
 Both algebras store elements as finite sums of monomials m^p g with
-coefficients in Q(zeta)[t_1..t_n], where m^p is x^p (Hecke, p >= 0) or
-y^p (Laurent, p in Z^n).  When the m_i commute, products follow the
-crossed-product law
+coefficients in Q(zeta)[t_1..t_n], or in Q(zeta) when t is specialized,
+where m^p is x^p (Hecke, p >= 0) or y^p (Laurent, p in Z^n).  When the
+m_i commute, products follow the crossed-product law
 
     (m^p g)(m^q h) = char(g, q) alpha(g, h) m^(p+q) (gh),
 
@@ -19,13 +19,11 @@ subclasses add PBW rewriting (Hecke) and theta (Laurent).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .coeffring import ParamPoly, ParamRing
+from .coeffring import ParamRing
 from .cyclotomic import (
-    Cyclotomic,
     accumulate,
     add_sparse,
     indexed_powers,
@@ -68,7 +66,8 @@ def exponents_bounded(n: int, total: int):
 
 
 class CrossedElem:
-    """A finite sum of monomials with ParamPoly coefficients.
+    """A finite sum of monomials with coefficients from the algebra's
+    ParamRing: ParamPoly for symbolic t, Cyclotomic for specialized t.
 
     Canonical sparse form: no zero coefficients.  Do not mutate ``terms``;
     all arithmetic builds fresh dictionaries.  Elements of different
@@ -117,12 +116,17 @@ class CrossedElem:
         return self.__rmul__(other)
 
     def __rmul__(self, other):
-        coeff = self.alg.as_coeff(other)
+        coeff = self.alg.ring.coerce(other)
         if coeff is None:
             return NotImplemented
         return self.scale(coeff)
 
-    def scale(self, coeff: ParamPoly):
+    def scale(self, value):
+        """Multiply by a scalar, taken into the algebra's ring as
+        ``ParamRing.coerce`` takes it."""
+        coeff = self.alg.ring.coerce(value)
+        if coeff is None:
+            raise TypeError(f"cannot interpret {value!r} as a coefficient")
         if coeff.is_zero():
             return type(self)(self.alg, {})
         out = {}
@@ -201,17 +205,6 @@ class CrossedAlgebra:
             type(self) is type(other) and self.ring.same_parameters(other.ring)
         )
 
-    def as_coeff(self, value) -> ParamPoly | None:
-        if isinstance(value, ParamPoly):
-            if value.n != self.n or value.ell != self.ell:
-                raise ValueError("coefficient from an incompatible parameter ring")
-            return value
-        if isinstance(value, Cyclotomic):
-            return self.ring.from_cyclotomic(value)
-        if isinstance(value, (int, Fraction)):
-            return self.ring.from_rational(value)
-        return None
-
     def zero(self):
         return self.elem_type(self, {})
 
@@ -219,7 +212,7 @@ class CrossedAlgebra:
         return self.monomial(self._zero_p)
 
     def scalar(self, value):
-        coeff = self.as_coeff(value)
+        coeff = self.ring.coerce(value)
         if coeff is None:
             raise TypeError(f"cannot interpret {value!r} as a coefficient")
         if coeff.is_zero():
@@ -232,7 +225,7 @@ class CrossedAlgebra:
             raise ValueError(f"exponents must have length {self.n}")
         if g is None:
             g = self.identity_g
-        c = self.ring.one() if coeff is None else self.as_coeff(coeff)
+        c = self.ring.one() if coeff is None else self.ring.coerce(coeff)
         if c is None or c.is_zero():
             return self.zero()
         return self.elem_type(self, {Monomial(p, g): c})

@@ -212,9 +212,15 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def scale(self, c) -> "Cyclotomic":
+        """Multiply by a scalar from Q(zeta), as ``ParamPoly.scale`` does, so
+        either serves as a coefficient."""
+        return self * c
+
     def times_zeta(self, k: int) -> "Cyclotomic":
-        """self * zeta^k without a product: the numerator moves up k places,
-        from z^j to z^(j+k), and folds.  zeta^k is a unit of Z[zeta], so the
+        """self * zeta^k without a product: the numerator rotates k places,
+        from z^j to z^((j+k) mod ell) since z^ell = 1, and only the places
+        from phi(ell) to ell - 1 fold.  zeta^k is a unit of Z[zeta], so the
         numerator's gcd with den is unchanged and stays 1."""
         ell = self.ell
         k %= ell
@@ -222,6 +228,11 @@ class Cyclotomic:
             return self
         v = [0] * k
         v += self.num
+        wrap = len(v) - ell
+        if wrap > 0:
+            # the places past z^(ell-1) move to the front, where v is zero
+            v[:wrap] = v[ell:]
+            del v[ell:]
         return Cyclotomic._make(ell, tuple(_fold(ell, v)), self.den)
 
     def inv(self) -> "Cyclotomic":

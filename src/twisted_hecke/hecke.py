@@ -119,7 +119,8 @@ def relation_b_terms(ring) -> list:
 
 
 class HeckeElem(CrossedElem):
-    """A finite sum of PBW monomials with ParamPoly coefficients."""
+    """A finite sum of PBW monomials with coefficients from the algebra's
+    ParamRing (``CrossedElem``)."""
 
     __slots__ = ()
 

@@ -32,7 +32,8 @@ LaurentMonomial = Monomial
 
 
 class LaurentElem(CrossedElem):
-    """A finite sum of Laurent monomials with ParamPoly coefficients."""
+    """A finite sum of Laurent monomials with coefficients from the
+    algebra's ParamRing (``CrossedElem``)."""
 
     __slots__ = ()
 

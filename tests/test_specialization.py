@@ -1,0 +1,132 @@
+"""Specialized t: the ring hands out bare Q(zeta) coefficients, and the
+specialized kernels agree with the symbolic ones evaluated at t."""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from twisted_hecke.coeffring import ParamPoly, ParamRing
+from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
+from twisted_hecke.exprs import eval_hecke, eval_laurent, eval_scalar, parse
+from twisted_hecke.group import GroupElem
+from twisted_hecke.hecke import HeckeAlgebra, relation_a_terms, relation_b_terms
+from twisted_hecke.laurent import LaurentAlgebra
+from twisted_hecke.suite import random_hecke_elem
+
+POINTS = [(3, 2), (4, 3), (5, 4), (3, 6)]
+T_GENERIC = ("1", "zeta", "1/2", "-2", "zeta^2+1")
+T_WITH_ZERO = ("1", "0", "1/2", "-2", "0")
+
+
+def t_at(n, ell, texts):
+    return tuple(eval_scalar(text, ell) for text in texts[:n])
+
+
+@lru_cache(maxsize=None)
+def symbolic(n, ell):
+    # shared by both specializations, so each point computes w^ell and F once
+    return HeckeAlgebra(n, ell), LaurentAlgebra(n, ell)
+
+
+def at_t(alg, elem, values):
+    """elem with every coefficient evaluated at t = values, zeros dropped,
+    as an element of the specialized algebra alg."""
+    terms = {}
+    for mono, c in elem.terms.items():
+        v = c.specialize(values)
+        if v:
+            terms[mono] = v
+    return alg.elem_type(alg, terms)
+
+
+@pytest.mark.parametrize("texts", [T_GENERIC, T_WITH_ZERO])
+@pytest.mark.parametrize("n,ell", POINTS)
+def test_specialized_kernels_agree_with_symbolic_ones_at_t(n, ell, texts):
+    values = t_at(n, ell, texts)
+    Hs, Ls = symbolic(n, ell)
+    Ht, Lt = HeckeAlgebra(n, ell, values), LaurentAlgebra(n, ell, values)
+    rng_s, rng_t = random.Random(f"agree:{n}:{ell}"), random.Random(f"agree:{n}:{ell}")
+    for _ in range(8):
+        a, b = random_hecke_elem(Hs, rng_s), random_hecke_elem(Hs, rng_s)
+        a_t, b_t = at_t(Ht, a, values), at_t(Ht, b, values)
+        # the same draws in the specialized algebra are the evaluated elements
+        assert random_hecke_elem(Ht, rng_t) == a_t
+        assert random_hecke_elem(Ht, rng_t) == b_t
+        assert Ht.mul(a_t, b_t) == at_t(Ht, Hs.mul(a, b), values)
+        theta_a, theta_b = Ls.theta(a), Ls.theta(b)
+        assert Lt.theta(a_t) == at_t(Lt, theta_a, values)
+        assert Lt.lmul(Lt.theta(a_t), Lt.theta(b_t)) == at_t(Lt, Ls.lmul(theta_a, theta_b), values)
+    assert Ht.w_power(ell) == at_t(Ht, Hs.w_power(ell), values)
+    relation = {key: c.specialize(values) for key, c in Hs.center_relation_terms().items()}
+    assert Ht.center_relation_terms() == {key: c for key, c in relation.items() if c}
+    assert Ht.evaluate_F() == at_t(Ht, Hs.evaluate_F(), values)
+
+
+def built_coefficients(H, L):
+    """Every coefficient of every value a Hecke and a Laurent algebra build
+    through their public constructors, kernels and closed forms."""
+    n, ell, ring = H.n, H.ell, H.ring
+    foreign = ParamRing(n, ell)
+    scalars = [
+        ring.zero(), ring.one(), ring.from_cyclotomic(zeta_power(ell, 1)),
+        ring.from_rational(Fraction(1, 2)), ring.zeta(2), ring.tau_product(),
+        ring.coerce(3), ring.coerce(foreign.t(1) * foreign.t(2)),
+    ]
+    for i in range(1, n + 1):
+        scalars += [ring.t(i), ring.tau(i), ring.tau_tilde(i)]
+    scalars += [c for _, c in relation_a_terms(ring) + relation_b_terms(ring)]
+    scalars += list(H.center_relation_terms().values())
+    rng = random.Random(f"types:{n}:{ell}")
+    a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
+    g1 = GroupElem.generator(n, ell, 1)
+    elems = [
+        H.zero(), H.one(), H.scalar(2), H.scalar(foreign.t(2)), H.gen_g(1),
+        H.monomial((1,) + (0,) * (n - 1), g1, foreign.t(1)), H.x_pow_ell(n),
+        a, b, H.mul(a, b), H.gr_mul(a, b), a * b, a + b, a - b, -a, 3 * a,
+        zeta_power(ell, 1) * a, a.scale(ring.tau(1)), a.scale(foreign.t(1)), a**2,
+        H.commutator(a, b),
+        H.build_w(), H.w_power(ell), H.evaluate_F(), H.is_central(H.gen_x(1))[1],
+        eval_hecke(parse("t1*x1*x2 + zeta*x2*g1 - 1/2"), H),
+        L.theta(a), L.lmul(L.theta(a), L.theta(b)), L.theta_w_closed(),
+        L.theta_xi_ell_closed(n), L.gen_y(1, -2),
+        eval_laurent(parse("t2*y1^-1*g1 + zeta"), L),
+    ]
+    elems += [L.theta_x(i) for i in range(1, n + 1)]
+    products = [c for key in list(H._insert_cache) for _, _, c in H._insert(*key)]
+    products += [c for key in list(H._product_cache) for c in H._normal_product(*key).values()]
+    coeffs = scalars + products
+    for elem in elems:
+        if elem is not None:
+            coeffs += list(elem.terms.values())
+    return coeffs
+
+
+@pytest.mark.parametrize("texts", [None, T_GENERIC, T_WITH_ZERO])
+@pytest.mark.parametrize("n,ell", [(3, 4), (4, 3)])
+def test_coefficients_are_cyclotomic_exactly_when_t_is_specialized(n, ell, texts):
+    values = None if texts is None else t_at(n, ell, texts)
+    expected = ParamPoly if values is None else Cyclotomic
+    H, L = HeckeAlgebra(n, ell, values), LaurentAlgebra(n, ell, values)
+    coeffs = built_coefficients(H, L)
+    assert len(coeffs) > 100
+    assert {type(c) for c in coeffs} == {expected}
+
+
+def test_a_symbolic_coefficient_is_evaluated_in_a_specialized_algebra():
+    ell = 3
+    Ht = HeckeAlgebra(3, ell, t_at(3, ell, T_GENERIC))
+    t = ParamRing(3, ell).t
+    assert Ht.monomial((1, 0, 0), None, t(1)).render() == "x1"
+    assert Ht.monomial((1, 0, 0), None, t(2) * t(3) * 4).render() == "2*zeta*x1"
+    assert (t(2) * Ht.gen_x(1)).render() == "zeta*x1"
+    assert Ht.gen_x(1).scale(t(3)).render() == "(1/2)*x1"
+    assert Ht.scalar(t(1) * t(1) - t(1)).is_zero()
+    # a symbolic algebra keeps the parameter
+    assert HeckeAlgebra(3, ell).monomial((1, 0, 0), None, t(1)).render() == "t1*x1"
+    for other in (ParamRing(4, ell), ParamRing(3, 4)):
+        with pytest.raises(ValueError):
+            Ht.monomial((1, 0, 0), None, other.t(1))
+    with pytest.raises(TypeError):
+        Ht.gen_x(1).scale("t1")
