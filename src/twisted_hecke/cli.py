@@ -51,20 +51,18 @@ def _parse_points(text: str):
     return tuple(points)
 
 
-def _print_results(results, file=None):
-    if file is None:
-        file = sys.stdout
+def _print_results(results):
     for r in results:
         if r.status == "pass":
-            print(f"PASS  {r.name} ({r.ms:.1f} ms)", file=file)
+            print(f"PASS  {r.name} ({r.ms:.1f} ms)")
         elif r.status == "skipped":
-            print(f"SKIP  {r.name}", file=file)
+            print(f"SKIP  {r.name}")
         else:
-            print(f"FAIL  {r.name}: {r.witness} ({r.ms:.1f} ms)", file=file)
+            print(f"FAIL  {r.name}: {r.witness} ({r.ms:.1f} ms)")
     passed = sum(1 for r in results if r.status == "pass")
     failed = sum(1 for r in results if r.status == "fail")
     skipped = sum(1 for r in results if r.status == "skipped")
-    print(f"{passed} passed, {failed} failed, {skipped} skipped", file=file)
+    print(f"{passed} passed, {failed} failed, {skipped} skipped")
 
 
 def main(argv=None) -> int:

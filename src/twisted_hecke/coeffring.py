@@ -7,7 +7,8 @@ dense exponent tuples of length n.  A ParamRing holds the configuration
 * ``t(i)``         -- the i-th deformation parameter,
 * ``tau(i)``       -- t_i/(zeta-1), with an extra factor zeta for i = n,
 * ``tau_tilde(i)`` -- the ell-th power of tau(i), carrying the sign
-                      (-1)^(n(ell-1)) for i = n.
+                      (-1)^(n(ell-1)) for i = n,
+* ``beta()``       -- the scalar in theta(w) = Y + beta Y^(-1), Y = y_1...y_n.
 
 Symbolic t is the default; a ring may instead be constructed with concrete
 Q(zeta) values for the t_i, in which case every downstream identity is
@@ -298,6 +299,13 @@ class ParamRing:
         for i in range(1, self.n + 1):
             p = p * self.tau(i)
         return p
+
+    def beta(self) -> ParamPoly | Cyclotomic:
+        """(-1)^n zeta^(n-2) tau_1...tau_n: theta(w) = Y + beta Y^(-1) with
+        Y = y_1...y_n, so every b-side coefficient of the center relation is
+        a multiple of a power of beta."""
+        p = self.tau_product().times_zeta(self.n - 2)
+        return -p if self.n % 2 else p
 
     def same_parameters(self, other: "ParamRing") -> bool:
         return (

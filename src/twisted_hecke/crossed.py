@@ -65,6 +65,14 @@ def exponents_bounded(n: int, total: int):
             yield (first,) + rest
 
 
+def _coefficient(ring: ParamRing, value):
+    """``ring.coerce(value)``, or TypeError where ``value`` is no scalar."""
+    coeff = ring.coerce(value)
+    if coeff is None:
+        raise TypeError(f"cannot interpret {value!r} as a coefficient")
+    return coeff
+
+
 class CrossedElem:
     """A finite sum of monomials with coefficients from the algebra's
     ParamRing: ParamPoly for symbolic t, Cyclotomic for specialized t.
@@ -124,17 +132,11 @@ class CrossedElem:
     def scale(self, value):
         """Multiply by a scalar, taken into the algebra's ring as
         ``ParamRing.coerce`` takes it."""
-        coeff = self.alg.ring.coerce(value)
-        if coeff is None:
-            raise TypeError(f"cannot interpret {value!r} as a coefficient")
+        coeff = _coefficient(self.alg.ring, value)
         if coeff.is_zero():
             return type(self)(self.alg, {})
-        out = {}
-        for m, c in self.terms.items():
-            v = c * coeff
-            if v:
-                out[m] = v
-        return type(self)(self.alg, out)
+        # the coefficient rings are domains: no product of nonzeros is zero
+        return type(self)(self.alg, {m: c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -212,9 +214,7 @@ class CrossedAlgebra:
         return self.monomial(self._zero_p)
 
     def scalar(self, value):
-        coeff = self.ring.coerce(value)
-        if coeff is None:
-            raise TypeError(f"cannot interpret {value!r} as a coefficient")
+        coeff = _coefficient(self.ring, value)
         if coeff.is_zero():
             return self.zero()
         return self.elem_type(self, {Monomial(self._zero_p, self.identity_g): coeff})
@@ -225,8 +225,8 @@ class CrossedAlgebra:
             raise ValueError(f"exponents must have length {self.n}")
         if g is None:
             g = self.identity_g
-        c = self.ring.one() if coeff is None else self.ring.coerce(coeff)
-        if c is None or c.is_zero():
+        c = self.ring.one() if coeff is None else _coefficient(self.ring, coeff)
+        if c.is_zero():
             return self.zero()
         return self.elem_type(self, {Monomial(p, g): c})
 

@@ -270,40 +270,29 @@ def _eval(node, literal, symbol):
 
 
 def _eval_sym(alg, mode: str, sym: Sym, exp: int):
-    n = alg.n
-    if sym.kind == "zeta":
-        return alg.scalar(zeta_power(alg.ell, 1)) ** exp
-    if sym.kind == "t":
-        if not 1 <= sym.index <= n:
-            raise EvalError(f"t{sym.index} out of range 1..{n}")
-        return alg.scalar(alg.ring.t(sym.index)) ** exp
-    if sym.kind == "g":
-        if not 1 <= sym.index <= n:
-            raise EvalError(f"g{sym.index} out of range 1..{n}")
-        g = GroupElem.generator(n, alg.ell, sym.index) ** exp
-        zero = (0,) * n
-        return alg.monomial(zero, g)
-    if sym.kind == "x":
-        if mode != "hecke":
-            raise EvalError("x-generators are not valid in the Laurent algebra")
-        if not 1 <= sym.index <= n:
-            raise EvalError(f"x{sym.index} out of range 1..{n}")
-        return alg.gen_x(sym.index) ** exp
-    if sym.kind == "y":
-        if mode != "laurent":
-            raise EvalError("y-generators are not valid in the Hecke algebra")
-        if not 1 <= sym.index <= n:
-            raise EvalError(f"y{sym.index} out of range 1..{n}")
-        return alg.gen_y(sym.index, exp)
-    raise EvalError(f"unknown symbol kind {sym.kind!r}")
+    """The atom sym^exp as one term of ``alg``, built without an algebra
+    product."""
+    kind, i, n = sym.kind, sym.index, alg.n
+    if kind == "zeta":
+        return alg.scalar(zeta_power(alg.ell, exp))
+    if kind not in ("t", "g", "x", "y"):
+        raise EvalError(f"unknown symbol kind {kind!r}")
+    # x belongs to the Hecke algebra only, y to the Laurent algebra only
+    if {"x": "hecke", "y": "laurent"}.get(kind, mode) != mode:
+        raise EvalError(f"{kind}-generators are not valid in the {mode.capitalize()} algebra")
+    if not 1 <= i <= n:
+        raise EvalError(f"{kind}{i} out of range 1..{n}")
+    if kind == "t":
+        return alg.scalar(alg.ring.t(i) ** exp)
+    if kind == "g":
+        return alg.monomial(alg._zero_p, GroupElem.generator(n, alg.ell, i) ** exp)
+    return alg._gen_power(i, exp)
 
 
 def _scalar_sym(ell: int, sym: Sym, exp: int) -> Cyclotomic:
     if sym.kind != "zeta":
         raise EvalError(f"{sym.kind}{sym.index or ''} is not a scalar")
-    zeta = zeta_power(ell, 1)
-    # a bare zeta needs no product; ** 1 would still multiply twice
-    return zeta if exp == 1 else zeta**exp
+    return zeta_power(ell, exp)
 
 
 def eval_hecke(expr, alg):

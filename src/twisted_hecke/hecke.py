@@ -31,6 +31,8 @@ Element arithmetic, the algebra plumbing and the associated graded product
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from math import prod
 
 from .chebyshev import nu
 from .crossed import (
@@ -41,7 +43,7 @@ from .crossed import (
     exponents_bounded,
 )
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
-from .group import GroupElem, star_mul, twist_exp
+from .group import GroupElem, twist_exp
 
 __all__ = ["PBWMonomial", "HeckeElem", "HeckeAlgebra", "enumerate_J"]
 
@@ -97,25 +99,16 @@ def relation_a_terms(ring) -> list:
     ``enumerate_J`` order."""
     out = []
     for subset in enumerate_J(ring.n):
-        coeff = ring.one()
-        for i in subset:
-            coeff = coeff * ring.tau_tilde(i)
+        coeff = prod(map(ring.tau_tilde, subset), start=ring.one())
         out.append((cover_complement(ring.n, subset), coeff))
     return out
 
 
 def relation_b_terms(ring) -> list:
-    """The b-part of F without its sign: (ell - 2r,
-    (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r) for 0 <= r <= ell/2."""
-    n, ell = ring.n, ring.ell
-    taus = ring.tau_product()
-    out = []
-    for r in range(ell // 2 + 1):
-        scal = zeta_power(ell, (n - 2) * r) * Cyclotomic.from_rational(ell, nu(ell, r))
-        if (n * r) % 2:
-            scal = -scal
-        out.append((ell - 2 * r, (taus**r).scale(scal)))
-    return out
+    """The b-part of F without its sign: (ell - 2r, nu_r beta^r) for
+    0 <= r <= ell/2, with beta from ``ParamRing.beta``."""
+    ell, beta = ring.ell, ring.beta()
+    return [(ell - 2 * r, (beta**r).scale(nu(ell, r))) for r in range(ell // 2 + 1)]
 
 
 class HeckeElem(CrossedElem):
@@ -151,7 +144,7 @@ class HeckeAlgebra(CrossedAlgebra):
         super().__init__(n, ell, t_values)
         self._insert_cache: dict = {}
         self._product_cache: dict = {}
-        self._w: HeckeElem | None = None
+        # w^0, w^1, ...: w itself is built once, into place 1
         self._w_pows: list[HeckeElem] = [self.one()]
 
     # -- construction ---------------------------------------------------
@@ -263,24 +256,18 @@ class HeckeAlgebra(CrossedAlgebra):
                 g_(i_1) * ... * g_(i_k)
 
         where delta = (1,..,1), eps_i lowers positions i and i+1 (mod n),
-        and the group factors multiply in the twisted group algebra.
+        and the group factors multiply in H, which reads alpha through
+        ``twist_exp`` as every product does.
         """
-        if self._w is None:
-            n, ell, ring = self.n, self.ell, self.ring
-            acc: dict = {}
-            for subset in enumerate_J(n):
-                coeff = ring.one()
-                for i in subset:
-                    coeff = coeff * ring.tau(i)
-                scal = Cyclotomic.one(ell)
-                g = self.identity_g
-                for i in subset:
-                    c, g = star_mul(g, GroupElem.generator(n, ell, i))
-                    scal = scal * c
-                mono = PBWMonomial(cover_complement(n, subset), g)
-                accumulate(acc, mono, coeff.scale(scal))
-            self._w = HeckeElem(self, acc)
-        return self._w
+        pows = self._w_pows
+        if len(pows) == 1:
+            ring, w = self.ring, self.zero()
+            for subset in enumerate_J(self.n):
+                coeff = prod(map(ring.tau, subset), start=ring.one())
+                term = self.monomial(cover_complement(self.n, subset), None, coeff)
+                w = w + reduce(self.mul, map(self.gen_g, subset), term)
+            pows.append(w)
+        return pows[1]
 
     def w_power(self, k: int) -> HeckeElem:
         """w^k from the successive powers w^0, w^1, ...: each new power is one
@@ -289,8 +276,10 @@ class HeckeAlgebra(CrossedAlgebra):
         if k < 0:
             raise ValueError("negative power of w")
         pows = self._w_pows
+        if k:
+            self.build_w()
         while len(pows) <= k:
-            pows.append(self.build_w() if len(pows) == 1 else self.mul(pows[-1], pows[1]))
+            pows.append(self.mul(pows[-1], pows[1]))
         return pows[k]
 
     def is_central(self, z: HeckeElem):
@@ -312,7 +301,7 @@ class HeckeAlgebra(CrossedAlgebra):
 
             F = sum over independent sets of tau~ products times
                 a^(delta - sum of eps)
-              - sum_r (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r b^(ell-2r)
+              - sum_r nu_r beta^r b^(ell-2r)
         """
         terms: dict = {}
         # the two parts share the key ((0,...,0), 0) at even n and even ell
@@ -325,11 +314,11 @@ class HeckeAlgebra(CrossedAlgebra):
     def evaluate_F(self) -> HeckeElem:
         """Substitute a_i -> x_i^ell, b -> w into the center relation and
         expand in H.  The result is the zero element exactly when the
-        relation holds, which the acceptance suite asserts on a grid."""
+        relation holds, which the acceptance suite asserts on a grid.  No
+        term carries both a and b, so each is a power of w or a monomial."""
         total = self.zero()
         for (a, bexp), coeff in self.center_relation_terms().items():
-            mono = self.monomial(tuple(self.ell * k for k in a))
-            term = self.mul(mono, self.w_power(bexp)) if bexp else mono
+            term = self.w_power(bexp) if bexp else self.monomial(tuple(self.ell * k for k in a))
             total = total + term.scale(coeff)
         return total
 
@@ -345,11 +334,11 @@ class HeckeAlgebra(CrossedAlgebra):
             raise ValueError(f"max_total_degree must be >= 0, got {max_total_degree}")
         seen = set()
         for p, m in independence_exponents(self.n, self.ell, max_total_degree):
-            prod = self.mul(
+            product = self.mul(
                 self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
             )
             lead = PBWMonomial(tuple(self.ell * k + m for k in p), self.identity_g)
-            if lead in seen or prod.terms.get(lead) is None:
+            if lead in seen or product.terms.get(lead) is None:
                 return False
             seen.add(lead)
         return True

@@ -130,27 +130,21 @@ class LaurentAlgebra(CrossedAlgebra):
         return self.gen_y(i, ell) + self.monomial(q_low, None, -self.ring.tau_tilde(i))
 
     def theta_w_closed(self) -> LaurentElem:
-        """Closed form of theta(w):
-        y_1...y_n + (-1)^n zeta^(n-2) tau_1...tau_n (y_1...y_n)^(-1)."""
+        """Closed form Y + beta Y^(-1) of theta(w), with Y = y_1...y_n and
+        beta from ``ParamRing.beta``."""
         n = self.n
-        scal = zeta_power(self.ell, n - 2)
-        if n % 2:
-            scal = -scal
-        coeff = self.ring.tau_product().scale(scal)
-        return self.monomial((1,) * n) + self.monomial((-1,) * n, None, coeff)
+        return self.monomial((1,) * n) + self.monomial((-1,) * n, None, self.ring.beta())
 
     def _power_sum_rhs(self) -> LaurentElem:
-        # (y_1...y_n)^ell + (-1)^(n ell) (tau_1...tau_n)^ell (y_1...y_n)^(-ell)
+        # Y^ell + beta^ell Y^(-ell), Y = y_1...y_n
         n, ell = self.n, self.ell
-        coeff = self.ring.tau_product() ** ell
-        if (n * ell) % 2:
-            coeff = -coeff
+        coeff = self.ring.beta() ** ell
         return self.monomial((ell,) * n) + self.monomial((-ell,) * n, None, coeff)
 
     def leftside_identity_check(self) -> bool:
         """sum over independent sets of tau~ products times products of the
-        closed forms theta(x_i^ell) equals
-        (y_1..y_n)^ell + (-1)^(n ell) (tau_1..tau_n)^ell (y_1..y_n)^(-ell)."""
+        closed forms theta(x_i^ell) equals Y^ell + beta^ell Y^(-ell), with
+        Y = y_1...y_n."""
         closed = {i: self.theta_xi_ell_closed(i) for i in range(1, self.n + 1)}
         total = self.zero()
         for v, coeff in relation_a_terms(self.ring):
@@ -160,15 +154,13 @@ class LaurentAlgebra(CrossedAlgebra):
         return total == self._power_sum_rhs()
 
     def rightside_identity_check(self) -> bool:
-        """sum_r (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r bt^(ell-2r),
-        with bt the closed form of theta(w), equals the same right side."""
+        """sum_r nu_r beta^r bt^(ell-2r), with bt = Y + beta Y^(-1) the
+        closed form of theta(w), equals the same right side
+        Y^ell + beta^ell Y^(-ell)."""
         bt = self.theta_w_closed()
-        bt_pows = [self.one(), bt]
-        while len(bt_pows) <= self.ell:
-            bt_pows.append(self.lmul(bt_pows[-1], bt))
         total = self.zero()
         for bexp, coeff in relation_b_terms(self.ring):
-            total = total + bt_pows[bexp].scale(coeff)
+            total = total + (bt**bexp).scale(coeff)
         return total == self._power_sum_rhs()
 
     def injectivity_spotcheck(self, max_degree: int) -> bool:

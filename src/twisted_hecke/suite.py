@@ -187,13 +187,9 @@ def run_suite(cfg: Config) -> list[CheckResult]:
             for j in range(1, n + 1):
                 c = H.commutator(H.gen_x(i), H.gen_x(j))
                 if (j - i) % n == 1:
-                    expected = H.monomial(
-                        (0,) * n, GroupElem.generator(n, ell, i), H.ring.t(i)
-                    )
+                    expected = H.gen_g(i).scale(H.ring.t(i))
                 elif (i - j) % n == 1:
-                    expected = -H.monomial(
-                        (0,) * n, GroupElem.generator(n, ell, j), H.ring.t(j)
-                    )
+                    expected = -H.gen_g(j).scale(H.ring.t(j))
                 else:
                     expected = H.zero()
                 if c != expected:
@@ -273,7 +269,7 @@ def run_suite(cfg: Config) -> list[CheckResult]:
         ok, witness = H.is_central(H.gen_x(1))
         if ok:
             return False, "x1 reported central", 1
-        expected = H.monomial((0,) * n, GroupElem.generator(n, ell, 1), H.ring.t(1))
+        expected = H.gen_g(1).scale(H.ring.t(1))
         if witness != expected:
             return False, f"witness = {witness.render()}", 1
         return True, None, 1

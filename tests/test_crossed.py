@@ -203,3 +203,24 @@ def test_products_with_group_parts_render_as_pinned():
                 digest.update(H.mul(a, b).render().encode() + b"\n")
                 digest.update(L.theta(a).render().encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_PRODUCTS_SHA256
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("algebra", [HeckeAlgebra, LaurentAlgebra])
+def test_a_coefficient_that_is_no_scalar_raises(algebra, specialised):
+    alg = algebra(3, 2, t_values(3, 2, specialised))
+    elem = alg.gen_g(1)
+    for bad in (0.5, "t1"):
+        for build in (
+            lambda: alg.monomial((1, 0, 0), None, bad),
+            lambda: alg.scalar(bad),
+            lambda: elem.scale(bad),
+        ):
+            with pytest.raises(TypeError, match="^cannot interpret"):
+                build()
+        # the reflected product declines, so Python raises its own TypeError
+        assert elem.__rmul__(bad) is NotImplemented
+        with pytest.raises(TypeError):
+            bad * elem
+    assert alg.monomial((1, 0, 0), None, 0).is_zero()
+    assert alg.monomial((1, 0, 0), None, 2) == alg.monomial((1, 0, 0)).scale(2)

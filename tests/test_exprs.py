@@ -153,8 +153,14 @@ def test_roundtrip_random_elements():
 
 
 def test_atoms_cost_no_algebra_product(monkeypatch):
-    # every atom is raised to its exponent; exponent 1 must not multiply
+    # every atom, raised to any exponent, is built as a single term
     H = HeckeAlgebra(3, 3)
+    powers = {
+        "x1^2": H.gen_x(1) * H.gen_x(1),
+        "t1^3": H.scalar(H.ring.t(1)) ** 3,
+        "zeta^2": H.scalar(zeta_power(3, 1)) ** 2,
+        "g1^2": H.gen_g(1) * H.gen_g(1),
+    }
     calls = []
     original = HeckeAlgebra.mul
 
@@ -165,6 +171,39 @@ def test_atoms_cost_no_algebra_product(monkeypatch):
     monkeypatch.setattr(HeckeAlgebra, "mul", counting_mul)
     for text in ("x1", "t2", "zeta", "g1"):
         eval_hecke(text, H)
+    for text, expected in powers.items():
+        assert eval_hecke(text, H) == expected, text
     assert calls == []
     assert eval_hecke("x1^2", H) == H.gen_x(1) * H.gen_x(1)
-    assert len(calls) == 2  # the square, and the product on the right
+    assert len(calls) == 1  # the product on the right
+
+
+@pytest.mark.parametrize(
+    "text, mode, message",
+    [
+        ("y1", "hecke", "y-generators are not valid in the Hecke algebra"),
+        ("x1", "laurent", "x-generators are not valid in the Laurent algebra"),
+        # the algebra is checked before the index
+        ("x9", "laurent", "x-generators are not valid in the Laurent algebra"),
+        ("x4", "hecke", "x4 out of range 1..3"),
+        ("x4^2", "hecke", "x4 out of range 1..3"),
+        ("y4", "laurent", "y4 out of range 1..3"),
+        ("y4^-1", "laurent", "y4 out of range 1..3"),
+        ("t5", "hecke", "t5 out of range 1..3"),
+        ("t5^2", "laurent", "t5 out of range 1..3"),
+        ("g5", "hecke", "g5 out of range 1..3"),
+        ("g5^-1", "laurent", "g5 out of range 1..3"),
+    ],
+)
+def test_eval_error_messages(H, L, text, mode, message):
+    with pytest.raises(EvalError) as err:
+        eval_hecke(text, H) if mode == "hecke" else eval_laurent(text, L)
+    assert str(err.value) == message
+
+
+def test_unknown_symbol_kind_is_rejected(H, L):
+    for tree in (Sym("q", 1), Pow(Sym("q", 1), 2)):
+        for evaluate, alg in ((eval_hecke, H), (eval_laurent, L)):
+            with pytest.raises(EvalError) as err:
+                evaluate(tree, alg)
+            assert str(err.value) == "unknown symbol kind 'q'"

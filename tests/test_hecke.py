@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
-from twisted_hecke.group import GroupElem
-from twisted_hecke.hecke import HeckeAlgebra, PBWMonomial, enumerate_J
+from twisted_hecke.chebyshev import nu
+from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
+from twisted_hecke.exprs import eval_scalar
+from twisted_hecke.group import GroupElem, star_mul
+from twisted_hecke.hecke import (
+    HeckeAlgebra,
+    HeckeElem,
+    PBWMonomial,
+    cover_complement,
+    enumerate_J,
+    relation_b_terms,
+)
+from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import random_hecke_elem
 
 F = Fraction
@@ -307,3 +317,77 @@ def test_render_golden(H32):
         H32.build_w().render()
         == "x1*x2*x3 - (1/2)*t2*x1*g2 + (1/2)*t3*x2*g2*g1 - (1/2)*t1*x3*g1"
     )
+
+
+# -- beta and w against their term-by-term derivations ----------------------
+
+# odd and even n and ell, so that every sign branch of the old formulas runs;
+# at ell = 6, zeta^3 = -1 could cancel a wrong sign of beta
+REFERENCE_POINTS = [(3, 2), (3, 3), (4, 3), (5, 4), (5, 5), (3, 6)]
+REFERENCE_T = ("1", "zeta", "1/2", "-2", "zeta^2+1")
+
+
+def reference_algebra(n, ell, specialised):
+    t = tuple(eval_scalar(v, ell) for v in REFERENCE_T[:n]) if specialised else None
+    return HeckeAlgebra(n, ell, t)
+
+
+def reference_b_terms(ring):
+    """(ell - 2r, (-1)^(nr) zeta^((n-2)r) nu_r (tau_1..tau_n)^r), with the
+    sign and the zeta power worked out for each r."""
+    n, ell = ring.n, ring.ell
+    taus = ring.tau_product()
+    out = []
+    for r in range(ell // 2 + 1):
+        scal = zeta_power(ell, (n - 2) * r) * Cyclotomic.from_rational(ell, nu(ell, r))
+        if (n * r) % 2:
+            scal = -scal
+        out.append((ell - 2 * r, (taus**r).scale(scal)))
+    return out
+
+
+def reference_w(H):
+    """w with the group factors of each term folded in the twisted group
+    algebra by ``star_mul``, and the product of the alphas scaling the term."""
+    n, ell, ring = H.n, H.ell, H.ring
+    acc = {}
+    for subset in enumerate_J(n):
+        coeff = ring.one()
+        for i in subset:
+            coeff = coeff * ring.tau(i)
+        scal = Cyclotomic.one(ell)
+        g = H.identity_g
+        for i in subset:
+            c, g = star_mul(g, GroupElem.generator(n, ell, i))
+            scal = scal * c
+        accumulate(acc, PBWMonomial(cover_complement(n, subset), g), coeff.scale(scal))
+    return HeckeElem(H, acc)
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n, ell", REFERENCE_POINTS)
+def test_relation_b_terms_match_the_signed_tau_formula(n, ell, specialised):
+    ring = reference_algebra(n, ell, specialised).ring
+    assert relation_b_terms(ring) == reference_b_terms(ring)
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n, ell", REFERENCE_POINTS)
+def test_build_w_matches_the_star_mul_fold(n, ell, specialised):
+    H = reference_algebra(n, ell, specialised)
+    expected = reference_w(H)
+    assert H.build_w() == expected
+    assert H.build_w().render() == expected.render()
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n, ell", REFERENCE_POINTS)
+def test_power_sum_rhs_matches_the_signed_tau_power(n, ell, specialised):
+    # Y^ell + (-1)^(n ell) (tau_1..tau_n)^ell Y^(-ell), Y = y_1..y_n: the
+    # right side both summation identities compare against
+    L = LaurentAlgebra(n, ell, reference_algebra(n, ell, specialised).ring.t_values)
+    coeff = L.ring.tau_product() ** ell
+    if (n * ell) % 2:
+        coeff = -coeff
+    expected = L.monomial((ell,) * n) + L.monomial((-ell,) * n, None, coeff)
+    assert L._power_sum_rhs() == expected
