@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import accumulate, add_sparse, power, power_by_squaring, render_terms
+from .cyclotomic import SparseSum, accumulate, power, render_terms
 
 __all__ = [
     "IntPoly",
@@ -33,17 +33,15 @@ _F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-class IntPoly:
-    """Sparse Laurent polynomial in xi and s with Fraction coefficients.
+class IntPoly(SparseSum):
+    """Sparse Laurent polynomial in xi and s with Fraction coefficients (a
+    ``SparseSum``).
 
     Keys are (xi_exponent, s_exponent) with the xi exponent any integer and
-    the s exponent nonnegative.  Zero coefficients are never stored.
+    the s exponent nonnegative.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+    __slots__ = ()
 
     @classmethod
     def const(cls, q) -> "IntPoly":
@@ -57,53 +55,33 @@ class IntPoly:
     def s(cls, k: int = 1) -> "IntPoly":
         return cls({(0, k): _F1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "IntPoly":
+        new = object.__new__(IntPoly)
+        new.terms = terms
+        return new
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(add_sparse(self.terms, other.terms))
+    def _coerce(self, value) -> Fraction | None:
+        return Fraction(value) if isinstance(value, (int, Fraction)) else None
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly({k: -v for k, v in self.terms.items()})
+    def one(self) -> "IntPoly":
+        return IntPoly.const(1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if type(other) is not IntPoly:
+            return self.__rmul__(other)
         out: dict = {}
         for (i, j), a in self.terms.items():
             for (k, l), b in other.terms.items():
                 accumulate(out, (i + k, j + l), a * b)
-        return IntPoly(out)
+        return self._like(out)
 
-    __rmul__ = __mul__
-
-    def scale(self, q) -> "IntPoly":
-        q = Fraction(q)
-        if not q:
-            return IntPoly()
-        return IntPoly({k: v * q for k, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        return power_by_squaring(self, k, IntPoly.const(1))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
+    def render(self) -> str:
         return render_terms(
             (c, [power(name, k) for name, k in (("xi", i), ("s", j)) if k])
             for (i, j), c in sorted(self.terms.items(), reverse=True)
         )
 
-    __repr__ = __str__
+    __repr__ = render
 
 
 _T_CACHE = [IntPoly.const(1), IntPoly.xi()]

@@ -31,10 +31,9 @@ from operator import add
 
 from .cyclotomic import (
     Cyclotomic,
+    SparseSum,
     accumulate,
-    add_sparse,
     indexed_powers,
-    power_by_squaring,
     render_terms,
     zeta_power,
 )
@@ -43,120 +42,64 @@ from .group import check_bounds
 __all__ = ["ParamPoly", "ParamRing"]
 
 
-class ParamPoly:
-    """Sparse polynomial in t_1..t_n over Q(zeta), in canonical form.
+class ParamPoly(SparseSum):
+    """Polynomial in t_1..t_n over Q(zeta): a ``SparseSum`` whose ``terms``
+    map exponent tuples to Cyclotomic coefficients."""
 
-    ``terms`` maps exponent tuples to nonzero Cyclotomic coefficients; no
-    zero coefficient is ever stored, so == is structural.  Instances are
-    immutable by convention: arithmetic always builds new dictionaries.
-    """
+    __slots__ = ("n", "ell")
+    _mixed = "mixed parameter rings: ({0.n},{0.ell}) vs ({1.n},{1.ell})"
 
-    __slots__ = ("n", "ell", "terms")
-
-    def __init__(self, n: int, ell: int, terms: dict, _canonical: bool = False):
+    def __init__(self, n: int, ell: int, terms: dict):
         self.n = n
         self.ell = ell
-        if not _canonical:
-            terms = {e: c for e, c in terms.items() if c}
-        self.terms = terms
+        super().__init__(terms)
 
-    def _check(self, other: "ParamPoly"):
-        if self.n != other.n or self.ell != other.ell:
-            raise ValueError(
-                f"mixed parameter rings: ({self.n},{self.ell}) vs ({other.n},{other.ell})"
-            )
+    def _like(self, terms: dict) -> "ParamPoly":
+        new = object.__new__(ParamPoly)
+        new.n = self.n
+        new.ell = self.ell
+        new.terms = terms
+        return new
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _same_space(self, other: "ParamPoly") -> bool:
+        return self.n == other.n and self.ell == other.ell
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _coerce(self, value) -> Cyclotomic | None:
+        if isinstance(value, Cyclotomic):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Cyclotomic.from_rational(self.ell, value)
+        return None
 
-    def __add__(self, other):
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        self._check(other)
-        return ParamPoly(self.n, self.ell, add_sparse(self.terms, other.terms), _canonical=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ParamPoly(
-            self.n, self.ell, {e: -c for e, c in self.terms.items()}, _canonical=True
-        )
+    def one(self) -> "ParamPoly":
+        return self._like({(0,) * self.n: Cyclotomic.one(self.ell)})
 
     def __mul__(self, other):
         # an exact type test first: Fraction is an ABC, so isinstance is slow
         if type(other) is not ParamPoly:
-            if isinstance(other, (Cyclotomic, int, Fraction)):
-                return self.scale(other)
-            return NotImplemented
+            return self.__rmul__(other)
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) == 1 and len(b) == 1:
             # Q(zeta)[t] is a domain: a product of nonzero terms is nonzero
             ((ea, ca),) = a.items()
             ((eb, cb),) = b.items()
-            e = tuple(map(add, ea, eb))
-            return ParamPoly(self.n, self.ell, {e: ca * cb}, _canonical=True)
+            return self._like({tuple(map(add, ea, eb)): ca * cb})
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 accumulate(out, tuple(map(add, ea, eb)), ca * cb)
-        return ParamPoly(self.n, self.ell, out, _canonical=True)
+        return self._like(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Cyclotomic, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "ParamPoly":
-        """Multiply by a scalar from Q(zeta)."""
-        if not isinstance(c, Cyclotomic):
-            c = Cyclotomic.from_rational(self.ell, c)
-        if c.is_zero():
-            return ParamPoly(self.n, self.ell, {}, _canonical=True)
-        if c.is_one():
-            return self
-        return ParamPoly(
-            self.n, self.ell, {e: v * c for e, v in self.terms.items()}, _canonical=True
-        )
+    # bound in this class, so the per-layer tracer can wrap it for ParamPoly
+    # alone
+    scale = SparseSum.scale
 
     def times_zeta(self, k: int) -> "ParamPoly":
         """Multiply by zeta^k, a shift of every coefficient (no product)."""
         if not k % self.ell:
             return self
-        return ParamPoly(
-            self.n, self.ell, {e: c.times_zeta(k) for e, c in self.terms.items()}, _canonical=True
-        )
-
-    def __pow__(self, k: int) -> "ParamPoly":
-        if k < 0:
-            raise ValueError("negative power of a parameter polynomial")
-        one = ParamPoly(
-            self.n, self.ell, {(0,) * self.n: Cyclotomic.one(self.ell)}, _canonical=True
-        )
-        return power_by_squaring(self, k, one)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParamPoly)
-            and self.n == other.n
-            and self.ell == other.ell
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.ell, frozenset(self.terms.items())))
-
-    def total_degree(self) -> int:
-        """Largest exponent sum, or -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return self._like({e: c.times_zeta(k) for e, c in self.terms.items()})
 
     def specialize(self, values) -> Cyclotomic:
         """Exact evaluation at t = values (a sequence of n Q(zeta) scalars)."""
@@ -199,9 +142,6 @@ class ParamPoly:
     def render(self) -> str:
         return render_terms(self.factor_terms())
 
-    def __str__(self) -> str:
-        return self.render()
-
     def __repr__(self) -> str:
         return f"ParamPoly({self.n}, {self.ell}, {self.render()!r})"
 
@@ -222,8 +162,8 @@ class ParamRing:
         self.ell = ell
         one = Cyclotomic.one(ell)
         if t_values is None:
-            self._one = ParamPoly(n, ell, {(0,) * n: one}, _canonical=True)
-            self._zero = ParamPoly(n, ell, {}, _canonical=True)
+            self._zero = ParamPoly(n, ell, {})
+            self._one = self._zero.one()
         else:
             t_values = tuple(t_values)
             if len(t_values) != n:
@@ -246,9 +186,7 @@ class ParamRing:
             raise ValueError("scalar from a different cyclotomic field")
         if self.t_values is not None:
             return c
-        if c.is_zero():
-            return self._zero
-        return ParamPoly(self.n, self.ell, {(0,) * self.n: c}, _canonical=True)
+        return ParamPoly(self.n, self.ell, {(0,) * self.n: c})
 
     def from_rational(self, q) -> ParamPoly | Cyclotomic:
         return self.from_cyclotomic(Cyclotomic.from_rational(self.ell, q))
@@ -277,7 +215,7 @@ class ParamRing:
         if self.t_values is not None:
             return self.t_values[i - 1]
         e = tuple(1 if j == i - 1 else 0 for j in range(self.n))
-        return ParamPoly(self.n, self.ell, {e: Cyclotomic.one(self.ell)}, _canonical=True)
+        return ParamPoly(self.n, self.ell, {e: Cyclotomic.one(self.ell)})
 
     def tau(self, i: int) -> ParamPoly | Cyclotomic:
         """t_i/(zeta - 1) for i < n and zeta*t_n/(zeta - 1) for i = n."""

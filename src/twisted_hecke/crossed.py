@@ -13,8 +13,9 @@ associated graded multiplication of the Hecke algebra.  The twist
 char(g, q) alpha(g, h) is zeta^z, with z evaluated from the exponent
 vector of g (``group.twist_exp``) and applied to the coefficient as a
 shift (``times_zeta``), not a product.  This module holds that law, the
-sparse element arithmetic around it and the algebra plumbing; the
-subclasses add PBW rewriting (Hecke) and theta (Laurent).
+element type (its sums and scalings from ``cyclotomic.SparseSum``) and the
+algebra plumbing; the subclasses add PBW rewriting (Hecke) and theta
+(Laurent).
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from operator import add
 from typing import NamedTuple
 
 from .coeffring import ParamRing
-from .cyclotomic import (
-    accumulate,
-    add_sparse,
-    indexed_powers,
-    power_by_squaring,
-    render_terms,
-)
+from .cyclotomic import SparseSum, accumulate, indexed_powers, render_terms
 from .group import GroupElem, check_bounds, twist_exp
 
 __all__ = ["Monomial", "CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
@@ -65,34 +60,38 @@ def exponents_bounded(n: int, total: int):
             yield (first,) + rest
 
 
-def _coefficient(ring: ParamRing, value):
-    """``ring.coerce(value)``, or TypeError where ``value`` is no scalar."""
-    coeff = ring.coerce(value)
-    if coeff is None:
-        raise TypeError(f"cannot interpret {value!r} as a coefficient")
-    return coeff
+class CrossedElem(SparseSum):
+    """A finite sum of monomials (a ``SparseSum``) with coefficients from the
+    algebra's ParamRing: ParamPoly for symbolic t, Cyclotomic for
+    specialized t.  Elements of different algebra types never mix:
+    arithmetic between them is a TypeError."""
 
-
-class CrossedElem:
-    """A finite sum of monomials with coefficients from the algebra's
-    ParamRing: ParamPoly for symbolic t, Cyclotomic for specialized t.
-
-    Canonical sparse form: no zero coefficients.  Do not mutate ``terms``;
-    all arithmetic builds fresh dictionaries.  Elements of different
-    algebra types never mix: arithmetic between them is a TypeError.
-    """
-
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
+    _mixed = "elements from incompatible algebras"
 
     def __init__(self, alg: "CrossedAlgebra", terms: dict):
         self.alg = alg
-        self.terms = terms
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @classmethod
+    def _new(cls, alg: "CrossedAlgebra", terms: dict):
+        """An element of ``alg`` holding ``terms`` as they are (no zero)."""
+        new = object.__new__(cls)
+        new.alg = alg
+        new.terms = terms
+        return new
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _like(self, terms: dict):
+        return self._new(self.alg, terms)
+
+    def _same_space(self, other: "CrossedElem") -> bool:
+        return self.alg.compatible(other.alg)
+
+    def _coerce(self, value):
+        return self.alg.ring.coerce(value)
+
+    def one(self):
+        return self.alg.one()
 
     def total_degree(self) -> int:
         """Filtration degree; -1 for the zero element."""
@@ -100,58 +99,10 @@ class CrossedElem:
             return -1
         return max(sum(m.p) for m in self.terms)
 
-    def _compat(self, other: "CrossedElem"):
-        if not self.alg.compatible(other.alg):
-            raise ValueError("elements from incompatible algebras")
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._compat(other)
-        return type(self)(self.alg, add_sparse(self.terms, other.terms))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.alg, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if type(other) is type(self):
             return self.alg.mul(self, other)
         return self.__rmul__(other)
-
-    def __rmul__(self, other):
-        coeff = self.alg.ring.coerce(other)
-        if coeff is None:
-            return NotImplemented
-        return self.scale(coeff)
-
-    def scale(self, value):
-        """Multiply by a scalar, taken into the algebra's ring as
-        ``ParamRing.coerce`` takes it."""
-        coeff = _coefficient(self.alg.ring, value)
-        if coeff.is_zero():
-            return type(self)(self.alg, {})
-        # the coefficient rings are domains: no product of nonzeros is zero
-        return type(self)(self.alg, {m: c * coeff for m, c in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of an algebra element")
-        return power_by_squaring(self, k, self.alg.one())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CrossedElem)
-            and self.alg.compatible(other.alg)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset((m, hash(c)) for m, c in self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _mono_sort_key(item[0]))
@@ -166,9 +117,6 @@ class CrossedElem:
                 terms.append((rat, factors + tail))
         return render_terms(terms)
 
-    def __str__(self) -> str:
-        return self.render()
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.render()}>"
 
@@ -176,7 +124,7 @@ class CrossedElem:
 def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> CrossedElem:
     """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly; the
     exponent of the root of unity comes from ``twist_exp``."""
-    a._compat(b)
+    a._check(b)
     out: dict = {}
     for (p, g), ca in a.terms.items():
         for (q, h), cb in b.terms.items():
@@ -185,7 +133,7 @@ def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> Crosse
             if z:
                 v = v.times_zeta(z)
             accumulate(out, Monomial(tuple(map(add, p, q)), g * h), v)
-    return alg.elem_type(alg, out)
+    return alg.elem_type._new(alg, out)
 
 
 class CrossedAlgebra:
@@ -214,20 +162,20 @@ class CrossedAlgebra:
         return self.monomial(self._zero_p)
 
     def scalar(self, value):
-        coeff = _coefficient(self.ring, value)
-        if coeff.is_zero():
-            return self.zero()
-        return self.elem_type(self, {Monomial(self._zero_p, self.identity_g): coeff})
+        return self.monomial(self._zero_p, None, value)
 
     def monomial(self, p, g: GroupElem | None = None, coeff=None):
+        """coeff m^p g; the zero element when coeff is zero."""
         p = tuple(p)
         if len(p) != self.n:
             raise ValueError(f"exponents must have length {self.n}")
+        if not all(isinstance(k, int) for k in p):
+            raise ValueError(f"exponents must be integers, got {p}")
         if g is None:
             g = self.identity_g
-        c = self.ring.one() if coeff is None else _coefficient(self.ring, coeff)
-        if c.is_zero():
-            return self.zero()
+        c = self.ring.one() if coeff is None else self.ring.coerce(coeff)
+        if c is None:
+            raise TypeError(f"cannot interpret {coeff!r} as a coefficient")
         return self.elem_type(self, {Monomial(p, g): c})
 
     def _gen_power(self, i: int, k: int):

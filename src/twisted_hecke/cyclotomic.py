@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = ["Cyclotomic", "cyclotomic_polynomial", "zeta_power"]
+__all__ = ["Cyclotomic", "SparseSum", "cyclotomic_polynomial", "zeta_power"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -361,14 +361,6 @@ def accumulate(out: dict, key, value) -> None:
         del out[key]
 
 
-def add_sparse(a: dict, b: dict) -> dict:
-    """Sum of two sparse {key: coefficient} maps; zero sums are dropped."""
-    out = dict(a)
-    for key, c in b.items():
-        accumulate(out, key, c)
-    return out
-
-
 def power_by_squaring(base, k: int, one):
     """``base^k`` for an integer k >= 0 by left-to-right binary powering:
     ``one`` when k = 0, otherwise one squaring per bit below the top bit and
@@ -381,6 +373,92 @@ def power_by_squaring(base, k: int, one):
         if bit == "1":
             result = result * base
     return result
+
+
+class SparseSum:
+    """A finite sum, ``terms`` = {monomial: coefficient}, in canonical form:
+    no zero coefficient is ever stored, so == compares the maps.  Values are
+    immutable by convention; arithmetic always builds new maps.
+
+    This class holds the vector-space arithmetic.  A subclass fixes the space
+    (slots beside ``terms``) and supplies ``_like`` (a sum in the same space
+    holding a map as it is: the one internal constructor), ``_same_space``,
+    ``_coerce`` (a scalar into the coefficient ring, or None), ``one``, its
+    product and ``render``.  The public constructor drops zero coefficients.
+    Sums of different types never mix: + and - return NotImplemented, so
+    Python raises TypeError.
+    """
+
+    __slots__ = ("terms",)
+    # ValueError message for operands from different spaces, formatted with
+    # the two operands
+    _mixed = "operands from different spaces"
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def _same_space(self, other) -> bool:
+        return True
+
+    def _check(self, other) -> None:
+        if not self._same_space(other):
+            raise ValueError(self._mixed.format(self, other))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            accumulate(out, m, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __rmul__(self, value):
+        c = self._coerce(value)
+        return NotImplemented if c is None else self.scale(c)
+
+    def scale(self, value):
+        """Multiply by a scalar, taken into the coefficient ring by
+        ``_coerce``; TypeError where it is no scalar."""
+        c = self._coerce(value)
+        if c is None:
+            raise TypeError(f"cannot interpret {value!r} as a coefficient")
+        if not c:
+            return self._like({})
+        # every coefficient ring here is a domain: no product of nonzeros is zero
+        return self._like({m: v * c for m, v in self.terms.items()})
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power {k} of a sparse sum")
+        return power_by_squaring(self, k, self.one())
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._same_space(other)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        return self.render()
 
 
 def power(name: str, k: int) -> str:

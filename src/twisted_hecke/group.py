@@ -64,9 +64,12 @@ class GroupElem:
 
     def __init__(self, n: int, ell: int, e):
         check_bounds(n, ell)
-        e = tuple(x % ell for x in e)
+        e = tuple(e)
         if len(e) != n - 1:
             raise ValueError(f"expected {n - 1} exponents, got {len(e)}")
+        if not all(isinstance(x, int) for x in e):
+            raise ValueError(f"group exponents must be integers, got {e}")
+        e = tuple([x % ell for x in e])
         self.n = n
         self.ell = ell
         self.e = e

@@ -120,9 +120,7 @@ class HeckeElem(CrossedElem):
     def top_part(self) -> "HeckeElem":
         """The homogeneous part of highest filtration degree."""
         d = self.total_degree()
-        return HeckeElem(
-            self.alg, {m: c for m, c in self.terms.items() if sum(m.p) == d}
-        )
+        return self._like({m: c for m, c in self.terms.items() if sum(m.p) == d})
 
     def render(self) -> str:
         """Canonical text form in the shared expression grammar."""
@@ -151,7 +149,7 @@ class HeckeAlgebra(CrossedAlgebra):
 
     def monomial(self, p, g: GroupElem | None = None, coeff=None) -> HeckeElem:
         p = tuple(p)
-        if any(k < 0 for k in p):
+        if not all(isinstance(k, int) and k >= 0 for k in p):
             raise ValueError("x-exponents must be nonnegative integers")
         return super().monomial(p, g, coeff)
 
@@ -185,8 +183,10 @@ class HeckeAlgebra(CrossedAlgebra):
         for r, j, s in [(i - 1, i - 2, -1)] * (i >= 2) + [(n, 0, 1)] * (i == n):
             terms = (zeta_power(ell, s * (q[i - 1] - v)) for v in range(q[j]))
             scal = sum(terms, Cyclotomic.zero(ell))
+            if not scal:
+                continue
             coeff = ring.t(r).scale(scal if s > 0 else -scal)
-            if coeff:
+            if coeff:  # a specialised t_r may be 0
                 lower = list(q)
                 lower[j] -= 1
                 out.append((tuple(lower), GroupElem.generator(n, ell, r), coeff))
@@ -225,7 +225,7 @@ class HeckeAlgebra(CrossedAlgebra):
     def mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         """Product in H in canonical PBW form: each term pair is twisted as in
         the crossed product, normal-ordered at g = 1 and multiplied by gh."""
-        a._compat(b)
+        a._check(b)
         one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
         out: dict = {}
         for (p, g), ca in a.terms.items():
@@ -240,7 +240,7 @@ class HeckeAlgebra(CrossedAlgebra):
                     if k is not ident:
                         v = v.times_zeta(twist_exp(k, zero, gh))
                     accumulate(out, PBWMonomial(q2, gh if k is ident else k * gh), v)
-        return HeckeElem(self, out)
+        return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the
     # polynomial ring (all x commuting) with the twisted group

@@ -48,7 +48,16 @@ class LaurentAlgebra(CrossedAlgebra):
 
     def __init__(self, n: int, ell: int, t_values=None):
         super().__init__(n, ell, t_values)
+        # theta(x^p) by exponent vector, seeded with theta(x^0) = 1 and the
+        # closed forms theta(x_i) = y_i - (zeta t_i/(zeta-1)) y_(i+1)^(-1) g_i
         self._theta_mono: dict = {self._zero_p: self.one()}
+        zeta = zeta_power(ell, 1)
+        scal = -(zeta * (zeta - 1).inv())
+        for i in range(1, n + 1):
+            gi = GroupElem.generator(n, ell, i)
+            q_low = tuple(-1 if k == i % n else 0 for k in range(n))
+            low = self.monomial(q_low, gi, self.ring.t(i).scale(scal))
+            self._theta_mono[tuple(int(k == i - 1) for k in range(n))] = self.gen_y(i) + low
 
     def gen_y(self, i: int, k: int = 1) -> LaurentElem:
         return self._gen_power(i, k)
@@ -66,31 +75,21 @@ class LaurentAlgebra(CrossedAlgebra):
         """theta(x_i) = y_i - (zeta t_i/(zeta-1)) y_(i+1)^(-1) g_i, mod-n."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        return self._theta_monomial(tuple(int(j == i - 1) for j in range(self.n)))
+        return self._theta_mono[tuple(int(j == i - 1) for j in range(self.n))]
 
     def _theta_monomial(self, p: tuple) -> LaurentElem:
         """theta(x^p) = theta(x^(p - e_j)) theta(x_j), with j the last nonzero
-        position of p.  Every link of the chain is cached; theta(x^0) = 1 and
-        theta(x_j), built here from its closed form, need no product.  The
-        chain is built in a loop from its longest cached prefix, so no
-        recursion grows with |p|."""
+        position of p.  Every link of the chain is cached, from theta(x^0)
+        and the theta(x_i) on.  The chain is built in a loop from its longest
+        cached prefix, so no recursion grows with |p|."""
         cache = self._theta_mono
         chain = []
         while p not in cache:
             j = len(p) - 1
             while not p[j]:
                 j -= 1
-            rest = p[:j] + (p[j] - 1,) + p[j + 1 :]
-            if not any(rest):
-                i, n = j + 1, self.n
-                zeta = zeta_power(self.ell, 1)
-                coeff = self.ring.t(i).scale(-(zeta * (zeta - 1).inv()))
-                q_low = tuple(-1 if k == i % n else 0 for k in range(n))
-                gi = GroupElem.generator(n, self.ell, i)
-                cache[p] = self.gen_y(i) + self.monomial(q_low, gi, coeff)
-                break
             chain.append((p, j + 1))
-            p = rest
+            p = p[:j] + (p[j] - 1,) + p[j + 1 :]
         img = cache[p]
         for link, i in reversed(chain):
             img = cache[link] = self.lmul(img, self.theta_x(i))
@@ -116,7 +115,7 @@ class LaurentAlgebra(CrossedAlgebra):
                     q, h = m
                     m, v = LaurentMonomial(q, h * g), v.times_zeta(twist_exp(h, zero, g))
                 accumulate(total, m, v)
-        return LaurentElem(self, total)
+        return LaurentElem._new(self, total)
 
     # -- closed forms and identities ---------------------------------------
 

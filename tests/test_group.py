@@ -39,6 +39,14 @@ def test_generator_index_bounds():
         gen(4, 3, 5)
 
 
+def test_non_integer_exponents_are_rejected():
+    # g2*g1^0.5 used to be stored and rendered
+    with pytest.raises(ValueError, match="^group exponents must be integers"):
+        GroupElem(3, 2, (0.5, 1))
+    assert GroupElem(3, 2, [3, -1]).e == (1, 1)
+    assert GroupElem(3, 2, iter((1, 0))).e == (1, 0)
+
+
 def test_g_n_is_inverse_of_product_of_others():
     for n, ell in [(3, 2), (4, 3), (5, 4)]:
         acc = GroupElem.identity(n, ell)

@@ -1,5 +1,6 @@
 """The PBW rewriting engine: relations, normal forms, central elements."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -273,6 +274,33 @@ def test_monomial_validation(H32):
         H32.monomial((1, -1, 0))
     with pytest.raises(ValueError):
         H32.monomial((1, 0))
+
+
+def test_non_integer_exponents_are_rejected(H32):
+    # x1^1.5 used to be stored and rendered
+    with pytest.raises(ValueError, match="^x-exponents must be nonnegative integers$"):
+        H32.monomial((1.5, 0, 0))
+
+
+@pytest.mark.parametrize("t", [None, "1,zeta,1/2", "0,zeta,1/2"])
+def test_insert_never_scales_by_zero(t, monkeypatch):
+    # the geometric sum over a passed block is often zero (an empty block, or
+    # one whose length is a multiple of ell): it is tested before the product
+    values = None if t is None else tuple(eval_scalar(s, 2) for s in t.split(","))
+    H = HeckeAlgebra(3, 2, values)
+    coeff_type = type(H.ring.t(1))
+    real, zeros = coeff_type.scale, []
+
+    def scale(c, s):
+        if not s:
+            zeros.append(s)
+        return real(c, s)
+
+    monkeypatch.setattr(coeff_type, "scale", scale)
+    x = [H.gen_x(i) for i in (1, 2, 3)]
+    for a, b in itertools.product(x + [x[0] * x[0], x[2] * x[1]], repeat=2):
+        H.mul(b * a, a * b)
+    assert H._insert_cache and zeros == []
 
 
 def test_off_grid_configurations():

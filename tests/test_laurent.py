@@ -139,6 +139,29 @@ def test_closed_forms_are_central_in_laurent(pair43):
             assert L.commutator(z, gen).is_zero()
 
 
+def test_theta_cache_starts_with_the_closed_forms():
+    L = LaurentAlgebra(4, 3)
+    units = [tuple(int(j == i) for j in range(4)) for i in range(4)]
+    assert set(L._theta_mono) == {(0, 0, 0, 0), *units}
+    zeta = zeta_power(3, 1)
+    for i in range(1, 5):
+        coeff = L.ring.t(i).scale(-(zeta * (zeta - 1).inv()))
+        low = tuple(-1 if j == i % 4 else 0 for j in range(4))
+        expected = L.gen_y(i) + L.monomial(low, GroupElem.generator(4, 3, i), coeff)
+        assert L.theta_x(i) is L._theta_mono[units[i - 1]]
+        assert L.theta_x(i) == expected
+    with pytest.raises(ValueError):
+        L.theta_x(5)
+
+
+def test_non_integer_exponents_are_rejected(pair32):
+    # y1^0.5 used to be stored and rendered
+    _, L = pair32
+    with pytest.raises(ValueError, match="^exponents must be integers"):
+        L.monomial((0.5, 0, 0))
+    assert L.monomial((-2, 0, 1)).render() == "y1^-2*y3"
+
+
 def test_injectivity_spotcheck(pair32):
     _, L = pair32
     assert L.injectivity_spotcheck(3)
