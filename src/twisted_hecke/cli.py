@@ -17,15 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .chebyshev import nu
-from .exprs import eval_hecke, eval_scalar, parse
+from .exprs import eval_hecke, eval_scalar
 from .hecke import HeckeAlgebra
 from .laurent import LaurentAlgebra
 from .suite import (
     DEFAULT_GRID,
     Config,
-    all_passed,
     run_grid,
     run_suite,
     suite_report,
@@ -51,7 +51,11 @@ def _parse_points(text: str):
     return tuple(points)
 
 
-def _print_results(results):
+def _totals(summary: dict) -> str:
+    return f"{summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped"
+
+
+def _print_results(results, summary: dict):
     for r in results:
         if r.status == "pass":
             print(f"PASS  {r.name} ({r.ms:.1f} ms)")
@@ -59,10 +63,12 @@ def _print_results(results):
             print(f"SKIP  {r.name}")
         else:
             print(f"FAIL  {r.name}: {r.witness} ({r.ms:.1f} ms)")
-    passed = sum(1 for r in results if r.status == "pass")
-    failed = sum(1 for r in results if r.status == "fail")
-    skipped = sum(1 for r in results if r.status == "skipped")
-    print(f"{passed} passed, {failed} failed, {skipped} skipped")
+    print(_totals(summary))
+
+
+def _report_file(path):
+    """The --json file, opened before any check runs; None without --json."""
+    return open(path, "w") if path else nullcontext()
 
 
 def main(argv=None) -> int:
@@ -73,29 +79,27 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the check suite for one (n, ell)")
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--ell", type=int, required=True)
-    p_verify.add_argument(
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--n", type=int, required=True)
+    point.add_argument("--ell", type=int, required=True)
+    point.add_argument(
         "--t",
         default="sym",
         help="'sym' (default) or n comma-separated Q(zeta) scalars, e.g. '0,0,0' or '1,zeta,1/2'",
+    )
+
+    p_verify = sub.add_parser(
+        "verify", parents=[point], help="run the check suite for one (n, ell)"
     )
     p_verify.add_argument("--degree-bound", type=int, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", metavar="PATH", help="write a JSON report")
 
-    p_norm = sub.add_parser("normalize", help="canonical PBW form of an expression")
-    p_norm.add_argument("--n", type=int, required=True)
-    p_norm.add_argument("--ell", type=int, required=True)
-    p_norm.add_argument("--t", default="sym")
-    p_norm.add_argument("expr")
-
-    p_theta = sub.add_parser("theta", help="image of an expression in the Laurent algebra")
-    p_theta.add_argument("--n", type=int, required=True)
-    p_theta.add_argument("--ell", type=int, required=True)
-    p_theta.add_argument("--t", default="sym")
-    p_theta.add_argument("expr")
+    for name, text in (
+        ("normalize", "canonical PBW form of an expression"),
+        ("theta", "image of an expression in the Laurent algebra"),
+    ):
+        sub.add_parser(name, parents=[point], help=text).add_argument("expr")
 
     p_nu = sub.add_parser("nu", help="the coefficients nu_0..nu_floor(ell/2)")
     p_nu.add_argument("--ell", type=int, required=True)
@@ -112,7 +116,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:  # ParseError and EvalError are ValueErrors
+    # ParseError and EvalError are ValueErrors; an OSError is an unwritable --json
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -120,31 +125,21 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     if args.command == "verify":
         t_values = _parse_t(args.t, args.ell, args.n)
-        cfg = Config(
-            n=args.n,
-            ell=args.ell,
-            t_values=t_values,
-            degree_bound=args.degree_bound,
-            seed=args.seed,
-        )
-        results = run_suite(cfg)
-        _print_results(results)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(suite_report(cfg, results), fh, indent=2)
-        return 0 if all_passed(results) else 1
+        cfg = Config(args.n, args.ell, t_values, args.degree_bound, args.seed)
+        with _report_file(args.json) as fh:
+            results = run_suite(cfg)
+            report = suite_report(cfg, results)
+            _print_results(results, report["summary"])
+            if fh:
+                json.dump(report, fh, indent=2)
+        return 0 if report["summary"]["ok"] else 1
 
-    if args.command == "normalize":
+    if args.command in ("normalize", "theta"):
         t_values = _parse_t(args.t, args.ell, args.n)
-        alg = HeckeAlgebra(args.n, args.ell, t_values)
-        print(eval_hecke(parse(args.expr), alg).render())
-        return 0
-
-    if args.command == "theta":
-        t_values = _parse_t(args.t, args.ell, args.n)
-        H = HeckeAlgebra(args.n, args.ell, t_values)
-        L = LaurentAlgebra(args.n, args.ell, t_values)
-        print(L.theta(eval_hecke(parse(args.expr), H)).render())
+        elem = eval_hecke(args.expr, HeckeAlgebra(args.n, args.ell, t_values))
+        if args.command == "theta":
+            elem = LaurentAlgebra(args.n, args.ell, t_values).theta(elem)
+        print(elem.render())
         return 0
 
     if args.command == "nu":
@@ -156,23 +151,18 @@ def _run(args) -> int:
 
     if args.command == "grid":
         points = DEFAULT_GRID if args.points is None else _parse_points(args.points)
-        report = run_grid(points, degree_bound=args.degree_bound, seed=args.seed)
-        for entry in report["suites"]:
-            cfg = entry["config"]
-            status = "ok" if entry["summary"]["ok"] else "FAILED"
-            print(
-                f"(n={cfg['n']}, ell={cfg['ell']}): "
-                f"{entry['summary']['passed']} passed, "
-                f"{entry['summary']['failed']} failed, "
-                f"{entry['summary']['skipped']} skipped -> {status}",
-                file=sys.stderr,
-            )
-        text = json.dumps(report, indent=2)
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        for n, ell in points:  # every point is valid before the report file opens
+            Config(n, ell, degree_bound=args.degree_bound)
+        with _report_file(args.json) as fh:
+            report = run_grid(points, degree_bound=args.degree_bound, seed=args.seed)
+            for entry in report["suites"]:
+                cfg = entry["config"]
+                status = "ok" if entry["summary"]["ok"] else "FAILED"
+                print(
+                    f"(n={cfg['n']}, ell={cfg['ell']}): {_totals(entry['summary'])} -> {status}",
+                    file=sys.stderr,
+                )
+            print(json.dumps(report, indent=2), file=fh or sys.stdout)
         return 0 if report["summary"]["ok"] else 1
 
     raise AssertionError("unreachable")

@@ -107,10 +107,11 @@ class CrossedElem(SparseSum):
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _mono_sort_key(item[0]))
 
-    def _render(self, var: str) -> str:
+    def render(self) -> str:
         """Canonical text form in the shared expression grammar, with the
-        monomial generators named ``var``1..``var``n."""
+        monomial generators named by the algebra (``alg.var``)."""
         terms = []
+        var = self.alg.var
         for mono, coeff in self.sorted_terms():
             tail = indexed_powers(var, mono.p) + mono.g.factors()
             for rat, factors in coeff.factor_terms():
@@ -138,9 +139,12 @@ def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> Crosse
 
 class CrossedAlgebra:
     """Configuration (n, ell, t) and the constructors shared by both
-    algebras.  A subclass sets ``elem_type`` and defines ``mul``."""
+    algebras.  A subclass sets ``elem_type``, names its monomial generators
+    by the letter ``var`` (for the parser and the renderer) and defines
+    ``mul``."""
 
     elem_type: type[CrossedElem]
+    var: str
 
     def __init__(self, n: int, ell: int, t_values=None):
         check_bounds(n, ell)

@@ -148,10 +148,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_one(self) -> bool:
-        num = self.num
-        return num[0] == 1 and self.den == 1 and not any(num[1:])
-
     def __bool__(self) -> bool:
         return any(self.num)
 

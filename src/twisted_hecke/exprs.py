@@ -87,53 +87,37 @@ class Pow:
     exp: int
 
 
+# every non-space character starts a token; one no other group takes is "bad"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()])|(?P<bad>\S))"
 )
 _NAME = re.compile(r"^(zeta|[xygt]\d+)$")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", where)
-        pos = match.end()
-        if match.lastgroup == "num":
-            raw = match.group("num").replace(" ", "")
-            if "/" in raw:
-                a, b = raw.split("/")
-                if int(b) == 0:
-                    raise ParseError("zero denominator in literal", match.start("num"))
-                value = Fraction(int(a), int(b))
-            else:
-                value = Fraction(int(raw))
-            tokens.append(("num", value, match.start("num")))
-        elif match.lastgroup == "name":
-            name = match.group("name")
-            if not _NAME.match(name):
-                raise ParseError(
-                    f"unknown name {name!r}",
-                    match.start("name"),
-                    "zeta, x<i>, y<i>, g<i> or t<i>",
-                )
-            tokens.append(("name", name, match.start("name")))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value, pos = match.group(kind), match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "num":
+            num, _, den = value.partition("/")
+            if den and int(den) == 0:
+                raise ParseError("zero denominator in literal", pos)
+            value = Fraction(int(num), int(den or 1))
+        elif kind == "name":
+            if not _NAME.match(value):
+                raise ParseError(f"unknown name {value!r}", pos, "zeta, x<i>, y<i>, g<i> or t<i>")
         else:
-            op = match.group("op")
-            tokens.append((op, op, match.start("op")))
+            kind = value
+        tokens.append((kind, value, pos))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -269,7 +253,7 @@ def _eval(node, literal, symbol):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval_sym(alg, mode: str, sym: Sym, exp: int):
+def _eval_sym(alg, sym: Sym, exp: int):
     """The atom sym^exp as one term of ``alg``, built without an algebra
     product."""
     kind, i, n = sym.kind, sym.index, alg.n
@@ -278,8 +262,9 @@ def _eval_sym(alg, mode: str, sym: Sym, exp: int):
     if kind not in ("t", "g", "x", "y"):
         raise EvalError(f"unknown symbol kind {kind!r}")
     # x belongs to the Hecke algebra only, y to the Laurent algebra only
-    if {"x": "hecke", "y": "laurent"}.get(kind, mode) != mode:
-        raise EvalError(f"{kind}-generators are not valid in the {mode.capitalize()} algebra")
+    if kind in ("x", "y") and kind != alg.var:
+        name = type(alg).__name__.removesuffix("Algebra")
+        raise EvalError(f"{kind}-generators are not valid in the {name} algebra")
     if not 1 <= i <= n:
         raise EvalError(f"{kind}{i} out of range 1..{n}")
     if kind == "t":
@@ -295,18 +280,22 @@ def _scalar_sym(ell: int, sym: Sym, exp: int) -> Cyclotomic:
     return zeta_power(ell, exp)
 
 
-def eval_hecke(expr, alg):
-    """Evaluate a parse tree (or source text) in a HeckeAlgebra."""
+def _eval_in(expr, alg, var: str):
+    if getattr(alg, "var", None) != var:
+        raise TypeError(f"expected an algebra on {var}-generators, got {type(alg).__name__}")
     if isinstance(expr, str):
         expr = parse(expr)
-    return _eval(expr, alg.scalar, partial(_eval_sym, alg, "hecke"))
+    return _eval(expr, alg.scalar, partial(_eval_sym, alg))
+
+
+def eval_hecke(expr, alg):
+    """Evaluate a parse tree (or source text) in a HeckeAlgebra."""
+    return _eval_in(expr, alg, "x")
 
 
 def eval_laurent(expr, alg):
     """Evaluate a parse tree (or source text) in a LaurentAlgebra."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    return _eval(expr, alg.scalar, partial(_eval_sym, alg, "laurent"))
+    return _eval_in(expr, alg, "y")
 
 
 def eval_scalar(expr, ell: int) -> Cyclotomic:

@@ -122,9 +122,9 @@ class HeckeElem(CrossedElem):
         d = self.total_degree()
         return self._like({m: c for m, c in self.terms.items() if sum(m.p) == d})
 
-    def render(self) -> str:
-        """Canonical text form in the shared expression grammar."""
-        return self._render("x")
+    # bound in this class, so the per-layer tracer can wrap it for HeckeElem
+    # alone
+    render = CrossedElem.render
 
 
 class HeckeAlgebra(CrossedAlgebra):
@@ -137,6 +137,7 @@ class HeckeAlgebra(CrossedAlgebra):
     """
 
     elem_type = HeckeElem
+    var = "x"
 
     def __init__(self, n: int, ell: int, t_values=None):
         super().__init__(n, ell, t_values)

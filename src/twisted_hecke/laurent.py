@@ -37,14 +37,15 @@ class LaurentElem(CrossedElem):
 
     __slots__ = ()
 
-    def render(self) -> str:
-        return self._render("y")
+    # bound in this class, as for HeckeElem
+    render = CrossedElem.render
 
 
 class LaurentAlgebra(CrossedAlgebra):
     """C[y_1^+-, ..., y_n^+-] crossed with G, twisted by the same cocycle."""
 
     elem_type = LaurentElem
+    var = "y"
 
     def __init__(self, n: int, ell: int, t_values=None):
         super().__init__(n, ell, t_values)

@@ -333,17 +333,8 @@ def test_products_and_sums_create_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for a in (x, y, q, zeta_power(5, 3)):
         for b in (x, y, q, zeta_power(5, 2)):
-            a * b, a + b, a - b, -a, a == b, hash(a), a.is_one(), bool(a), a.times_zeta(3)
+            a * b, a + b, a - b, -a, a == b, hash(a), bool(a), a.times_zeta(3)
     assert created == []
-
-
-def test_is_one():
-    assert Cyclotomic.one(6).is_one()
-    assert Cyclotomic(6, [F(3, 3)]).is_one()
-    assert not Cyclotomic.from_rational(6, -1).is_one()
-    assert not Cyclotomic.from_rational(6, F(1, 2)).is_one()
-    assert not (Cyclotomic.one(6) + zeta_power(6, 1)).is_one()
-    assert not Cyclotomic.zero(6).is_one()
 
 
 class CountingPower:

@@ -1,6 +1,7 @@
 """The expression language: parsing, errors, evaluation, round trips."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from twisted_hecke.exprs import (
     ParseError,
     Pow,
     Sym,
+    _tokenize,
     eval_hecke,
     eval_laurent,
     eval_scalar,
@@ -207,3 +209,104 @@ def test_unknown_symbol_kind_is_rejected(H, L):
             with pytest.raises(EvalError) as err:
                 evaluate(tree, alg)
             assert str(err.value) == "unknown symbol kind 'q'"
+
+
+def test_eval_rejects_the_other_algebra(H, L):
+    # each evaluator reads its generator letter from the algebra it is handed
+    with pytest.raises(TypeError):
+        eval_hecke("x2*x1", LaurentAlgebra(3, 2))
+    with pytest.raises(TypeError):
+        eval_laurent("y1*y2", HeckeAlgebra(3, 2))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator in literal at position 0"),
+        ("x1^x2", "unexpected token 'x2' at position 3 (expected an integer exponent)"),
+        ("x1^1/2", "unexpected token '1/2' at position 3 (expected an integer exponent)"),
+    ],
+)
+def test_literal_and_exponent_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_power_of_a_sum_expands(H):
+    assert eval_hecke("(x1+x2)^2", H).render() == "x1^2 + 2*x1*x2 + x2^2 - t1*g1"
+
+
+def test_hand_built_trees_are_checked(H):
+    # the parser never builds these, but a tree handed in directly is checked
+    with pytest.raises(EvalError) as err:
+        eval_hecke(Pow(BinOp("+", Sym("x", 1), Sym("x", 2)), -1), H)
+    assert str(err.value) == "negative exponent on a compound expression"
+    with pytest.raises(TypeError, match="not an expression node"):
+        eval_hecke(BinOp("*", Sym("x", 1), 2), H)
+
+
+# the tokenizer as a match loop that strips whitespace to find a stray
+# character, the form the single finditer pass replaced
+_LOOP_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()]))"
+)
+_LOOP_NAME = re.compile(r"^(zeta|[xygt]\d+)$")
+
+
+def _loop_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _LOOP_TOKEN.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            where = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", where)
+        pos = match.end()
+        if match.lastgroup == "num":
+            raw = match.group("num").replace(" ", "")
+            if "/" in raw:
+                a, b = raw.split("/")
+                if int(b) == 0:
+                    raise ParseError("zero denominator in literal", match.start("num"))
+                value = Fraction(int(a), int(b))
+            else:
+                value = Fraction(int(raw))
+            tokens.append(("num", value, match.start("num")))
+        elif match.lastgroup == "name":
+            name = match.group("name")
+            if not _LOOP_NAME.match(name):
+                raise ParseError(
+                    f"unknown name {name!r}",
+                    match.start("name"),
+                    "zeta, x<i>, y<i>, g<i> or t<i>",
+                )
+            tokens.append(("name", name, match.start("name")))
+        else:
+            op = match.group("op")
+            tokens.append((op, op, match.start("op")))
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.pos
+
+
+def test_tokenizer_matches_the_match_loop():
+    rng = random.Random(14)
+    alphabet = "0123456789//xygtzetaq*+-^()   @"
+    outcomes = set()
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        expected = _tokens_or_error(_loop_tokenize, text)
+        assert _tokens_or_error(_tokenize, text) == expected, text
+        outcomes.add(expected[0][:12] if isinstance(expected, tuple) else "tokens")
+    # the strings reach the token list and every kind of error
+    assert {"tokens", "unexpected c", "unknown name", "zero denomin"} <= outcomes

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twisted_hecke import crossed, group, hecke, laurent, suite
+from twisted_hecke import chebyshev, crossed, group, hecke, laurent, suite
 from twisted_hecke.cli import main
 from twisted_hecke.cyclotomic import Cyclotomic
 from twisted_hecke.group import GroupElem, cocycle_identity_holds
@@ -172,13 +172,85 @@ def test_twist_checks_reject_a_corrupted_row(monkeypatch):
     assert by_name["action-character-laws"] == "fail"
 
 
+_MUL, _THETA = HeckeAlgebra.mul, LaurentAlgebra.theta
+
+
+def _bad_star_group(g, k):
+    return Cyclotomic.one(2), g
+
+
+def _bad_star_scalar(g, k):
+    return Cyclotomic.zero(2), GroupElem.identity(3, 2)
+
+
 def test_failures_carry_witnesses():
-    # break a check on purpose by asking for an impossible configuration:
-    # a specialized ring where the noncentrality witness check must fail
-    # is not constructible, so instead check the witness plumbing directly
+    # the first nonzero commutator is the witness of noncentrality; each
+    # check's own witness is read in test_a_broken_check_fails_with_its_witness
     H = HeckeAlgebra(3, 2)
     ok, witness = H.is_central(H.gen_x(1))
     assert not ok and witness.render() == "t1*g1"
+
+
+def _is_central_never(H, z):
+    return False, H.zero()
+
+
+# (check, owner, attribute, replacement, witness prefix), each breaking one
+# check at (3, 2) on purpose
+BROKEN_CHECKS = [
+    ("defining-relations", HeckeAlgebra, "commutator", lambda H, a, b: H.zero(), "[x1, x2] = 0"),
+    ("star-power-signs", suite, "star_power", _bad_star_group, "g1^(*2) has group part g1"),
+    ("star-power-signs", suite, "star_power", _bad_star_scalar, "g1^(*2) = 0"),
+    # a*b + a is not associative: the two bracketings differ by a*c
+    ("associativity-samples", HeckeAlgebra, "mul", lambda H, a, b: _MUL(H, a, b) + a, "triple #"),
+    # theta + 1 is not multiplicative
+    (
+        "theta-homomorphism-samples",
+        LaurentAlgebra,
+        "theta",
+        lambda L, a: _THETA(L, a) + L.one(),
+        "pair #0: a = ",
+    ),
+    (
+        "theta-x-ell-closed-form",
+        LaurentAlgebra,
+        "theta_xi_ell_closed",
+        lambda L, i: L.zero(),
+        "theta(x1^2) = ",
+    ),
+    ("centrality-x-ell", HeckeAlgebra, "is_central", _is_central_never, "[x1^2, -] = 0"),
+    (
+        "x1-noncentral-witness",
+        HeckeAlgebra,
+        "is_central",
+        lambda H, z: (True, None),
+        "x1 reported central",
+    ),
+    ("x1-noncentral-witness", HeckeAlgebra, "is_central", _is_central_never, "witness = 0"),
+    ("chebyshev-identities", chebyshev, "identity_che1", lambda ell: False, "che1 failed at ell=2"),
+    ("parser-roundtrip", suite, "eval_hecke", lambda tree, H: H.zero(), "sample #0: "),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr, broken, prefix", BROKEN_CHECKS)
+def test_a_broken_check_fails_with_its_witness(monkeypatch, name, owner, attr, broken, prefix):
+    monkeypatch.setattr(owner, attr, broken)
+    r = {r.name: r for r in run_suite(Config(n=3, ell=2))}[name]
+    assert r.status == "fail"
+    assert r.witness.startswith(prefix), r.witness
+
+
+def test_a_crashing_check_fails_with_the_error_as_witness(monkeypatch):
+    def crash(L):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(LaurentAlgebra, "theta_w_closed", crash)
+    cfg = Config(n=3, ell=2)
+    results = run_suite(cfg)
+    report = suite_report(cfg, results)
+    entry = {e["name"]: e for e in report["checks"]}["theta-w-closed-form"]
+    assert (entry["status"], entry["witness"], entry["cases"]) == ("fail", "RuntimeError: boom", 0)
+    assert report["summary"]["ok"] is False
 
 
 def test_run_grid_single_point():
@@ -270,6 +342,18 @@ def test_cli_verify(capsys, tmp_path):
     assert report["summary"]["ok"] is True
 
 
+def test_cli_verify_prints_skip_and_fail_lines(capsys, monkeypatch):
+    assert main(["verify", "--n", "4", "--ell", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "SKIP  sklyanin-spotcheck\n" in out
+    assert out.endswith("\n18 passed, 0 failed, 1 skipped\n")
+    monkeypatch.setattr(chebyshev, "identity_che1", lambda ell: False)
+    assert main(["verify", "--n", "3", "--ell", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  chebyshev-identities: che1 failed at ell=2 (" in out
+    assert out.endswith("\n18 passed, 1 failed, 0 skipped\n")
+
+
 def test_cli_grid_with_points(capsys, tmp_path):
     path = tmp_path / "grid.json"
     code = main(["grid", "--points", "3:2", "--json", str(path)])
@@ -290,6 +374,10 @@ def test_cli_grid_with_points(capsys, tmp_path):
         ["normalize", "--n", "3", "--ell", "2", "x9"],
         ["verify", "--n", "3", "--ell", "2", "--degree-bound", "-1"],
         ["grid", "--points", ""],
+        # a report path that cannot be opened (under a file), before any check runs
+        ["verify", "--n", "3", "--ell", "2", "--json", os.path.join(os.devnull, "r.json")],
+        ["grid", "--json", os.path.join(os.devnull, "r.json")],
+        ["nu", "--ell", "0"],
     ],
 )
 def test_cli_bad_input_is_one_line_and_exit_2(argv, capsys):
@@ -298,3 +386,10 @@ def test_cli_bad_input_is_one_line_and_exit_2(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_grid_checks_every_point_before_writing(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text("kept")
+    assert main(["grid", "--points", "3:2,2:2", "--json", str(path)]) == 2
+    assert path.read_text() == "kept"
