@@ -28,8 +28,8 @@ from .group import (
     star_mul,
     star_power,
 )
-from .hecke import HeckeAlgebra, HeckeElem, PBWMonomial, enumerate_J
-from .laurent import LaurentAlgebra, LaurentElem, LaurentMonomial
+from .hecke import HeckeAlgebra, HeckeElem, enumerate_J
+from .laurent import LaurentAlgebra, LaurentElem
 from .suite import (
     DEFAULT_GRID,
     CheckResult,
@@ -57,11 +57,9 @@ __all__ = [
     "cocycle_identity_holds",
     "HeckeAlgebra",
     "HeckeElem",
-    "PBWMonomial",
     "enumerate_J",
     "LaurentAlgebra",
     "LaurentElem",
-    "LaurentMonomial",
     "IntPoly",
     "chebyshev_T",
     "nu",

@@ -33,6 +33,7 @@ from .cyclotomic import (
     Cyclotomic,
     SparseSum,
     accumulate,
+    graded_lex_key,
     indexed_powers,
     render_terms,
     zeta_power,
@@ -120,9 +121,7 @@ class ParamPoly(SparseSum):
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order, highest degree first."""
-        return sorted(
-            self.terms.items(), key=lambda item: (-sum(item[0]), tuple(-x for x in item[0]))
-        )
+        return sorted(self.terms.items(), key=lambda item: graded_lex_key(item[0]))
 
     def factor_terms(self) -> list:
         """Flatten into ordered (rational, factors) terms for ``render_terms``:

@@ -21,30 +21,12 @@ algebra plumbing; the subclasses add PBW rewriting (Hecke) and theta
 from __future__ import annotations
 
 from operator import add
-from typing import NamedTuple
 
 from .coeffring import ParamRing
-from .cyclotomic import SparseSum, accumulate, indexed_powers, render_terms
+from .cyclotomic import SparseSum, accumulate, graded_lex_key, indexed_powers, render_terms
 from .group import GroupElem, check_bounds, twist_exp
 
-__all__ = ["Monomial", "CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
-
-
-class Monomial(NamedTuple):
-    """m_1^(p_1) ... m_n^(p_n) g, with the factors in exactly that order."""
-
-    p: tuple
-    g: GroupElem
-
-    @property
-    def total_degree(self) -> int:
-        # filtration degree: deg(m_i) = 1, deg(g) = 0
-        return sum(self.p)
-
-
-def _mono_sort_key(mono: Monomial):
-    # graded-lex, highest degree first; ties broken by exponents then group
-    return (-sum(mono.p), tuple(-x for x in mono.p), mono.g.e)
+__all__ = ["CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
 
 
 def exponents_bounded(n: int, total: int):
@@ -63,8 +45,11 @@ def exponents_bounded(n: int, total: int):
 class CrossedElem(SparseSum):
     """A finite sum of monomials (a ``SparseSum``) with coefficients from the
     algebra's ParamRing: ParamPoly for symbolic t, Cyclotomic for
-    specialized t.  Elements of different algebra types never mix:
-    arithmetic between them is a TypeError."""
+    specialized t.  Each term is keyed by an (exponents, group) pair (p, g)
+    standing for m_1^(p_1) ... m_n^(p_n) g, with the factors in exactly that
+    order and integer exponents that may be negative on the Laurent side.
+    Elements of different algebra types never mix: arithmetic between them
+    is a TypeError."""
 
     __slots__ = ("alg",)
     _mixed = "elements from incompatible algebras"
@@ -97,7 +82,7 @@ class CrossedElem(SparseSum):
         """Filtration degree; -1 for the zero element."""
         if not self.terms:
             return -1
-        return max(sum(m.p) for m in self.terms)
+        return max(sum(p) for p, _ in self.terms)
 
     def __mul__(self, other):
         if type(other) is type(self):
@@ -105,15 +90,18 @@ class CrossedElem(SparseSum):
         return self.__rmul__(other)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _mono_sort_key(item[0]))
+        # ties of exponents broken by the group element
+        return sorted(
+            self.terms.items(), key=lambda item: (graded_lex_key(item[0][0]), item[0][1].e)
+        )
 
     def render(self) -> str:
         """Canonical text form in the shared expression grammar, with the
         monomial generators named by the algebra (``alg.var``)."""
         terms = []
         var = self.alg.var
-        for mono, coeff in self.sorted_terms():
-            tail = indexed_powers(var, mono.p) + mono.g.factors()
+        for (p, g), coeff in self.sorted_terms():
+            tail = indexed_powers(var, p) + g.factors()
             for rat, factors in coeff.factor_terms():
                 terms.append((rat, factors + tail))
         return render_terms(terms)
@@ -133,7 +121,7 @@ def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> Crosse
             z = twist_exp(g, q, h)
             if z:
                 v = v.times_zeta(z)
-            accumulate(out, Monomial(tuple(map(add, p, q)), g * h), v)
+            accumulate(out, (tuple(map(add, p, q)), g * h), v)
     return alg.elem_type._new(alg, out)
 
 
@@ -180,7 +168,7 @@ class CrossedAlgebra:
         c = self.ring.one() if coeff is None else self.ring.coerce(coeff)
         if c is None:
             raise TypeError(f"cannot interpret {coeff!r} as a coefficient")
-        return self.elem_type(self, {Monomial(p, g): c})
+        return self.elem_type(self, {(p, g): c})
 
     def _gen_power(self, i: int, k: int):
         """The monomial m_i^k."""

@@ -467,6 +467,12 @@ def indexed_powers(prefix: str, exponents) -> list:
     return [power(f"{prefix}{j}", k) for j, k in enumerate(exponents, start=1) if k]
 
 
+def graded_lex_key(exponents) -> tuple:
+    """Sort key for rendering: highest total degree first, then the larger
+    exponent vector first."""
+    return (-sum(exponents), tuple(-x for x in exponents))
+
+
 def render_terms(terms) -> str:
     """Render (rational, factors) pairs as a signed sum of products: the
     magnitude is written only when it is not 1 or there are no factors."""

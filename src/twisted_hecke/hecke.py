@@ -35,20 +35,11 @@ from functools import reduce
 from math import prod
 
 from .chebyshev import nu
-from .crossed import (
-    CrossedAlgebra,
-    CrossedElem,
-    Monomial,
-    crossed_mul,
-    exponents_bounded,
-)
+from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
 from .group import GroupElem, twist_exp
 
-__all__ = ["PBWMonomial", "HeckeElem", "HeckeAlgebra", "enumerate_J"]
-
-# x_1^(p_1) ... x_n^(p_n) g, with the factors in exactly that order
-PBWMonomial = Monomial
+__all__ = ["HeckeElem", "HeckeAlgebra", "enumerate_J"]
 
 
 def enumerate_J(n: int) -> list[tuple]:
@@ -120,7 +111,7 @@ class HeckeElem(CrossedElem):
     def top_part(self) -> "HeckeElem":
         """The homogeneous part of highest filtration degree."""
         d = self.total_degree()
-        return self._like({m: c for m, c in self.terms.items() if sum(m.p) == d})
+        return self._like({m: c for m, c in self.terms.items() if sum(m[0]) == d})
 
     # bound in this class, so the per-layer tracer can wrap it for HeckeElem
     # alone
@@ -240,7 +231,7 @@ class HeckeAlgebra(CrossedAlgebra):
                     v = base if c is one else base * c
                     if k is not ident:
                         v = v.times_zeta(twist_exp(k, zero, gh))
-                    accumulate(out, PBWMonomial(q2, gh if k is ident else k * gh), v)
+                    accumulate(out, (q2, gh if k is ident else k * gh), v)
         return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the
@@ -338,7 +329,7 @@ class HeckeAlgebra(CrossedAlgebra):
             product = self.mul(
                 self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
             )
-            lead = PBWMonomial(tuple(self.ell * k + m for k in p), self.identity_g)
+            lead = (tuple(self.ell * k + m for k in p), self.identity_g)
             if lead in seen or product.terms.get(lead) is None:
                 return False
             seen.add(lead)

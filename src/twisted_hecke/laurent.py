@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .crossed import CrossedAlgebra, CrossedElem, Monomial, crossed_mul, exponents_bounded
+from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import accumulate, zeta_power
 from .group import GroupElem, twist_exp
 from .hecke import HeckeElem, relation_a_terms, relation_b_terms
 
-__all__ = ["LaurentMonomial", "LaurentElem", "LaurentAlgebra"]
-
-# y_1^(p_1) ... y_n^(p_n) g with integer (possibly negative) exponents
-LaurentMonomial = Monomial
+__all__ = ["LaurentElem", "LaurentAlgebra"]
 
 
 class LaurentElem(CrossedElem):
@@ -114,7 +111,7 @@ class LaurentAlgebra(CrossedAlgebra):
                 if moved:
                     # times y^0 g: c' y^q h -> alpha(h, g) c' y^q (hg)
                     q, h = m
-                    m, v = LaurentMonomial(q, h * g), v.times_zeta(twist_exp(h, zero, g))
+                    m, v = (q, h * g), v.times_zeta(twist_exp(h, zero, g))
                 accumulate(total, m, v)
         return LaurentElem._new(self, total)
 
@@ -181,11 +178,11 @@ class LaurentAlgebra(CrossedAlgebra):
         one = self.ring.one()
         for p in exponents_bounded(self.n, max_degree):
             d = sum(p)
-            lead = LaurentMonomial(p, self.identity_g)
+            lead = (p, self.identity_g)
             img = self._theta_monomial(p)
             if img.terms.get(lead) != one:
                 return False
             for mono in img.terms:
-                if mono.total_degree >= d and mono != lead:
+                if sum(mono[0]) >= d and mono != lead:
                     return False
         return True

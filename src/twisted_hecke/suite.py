@@ -365,17 +365,17 @@ def suite_report(cfg: Config, results: list[CheckResult]) -> dict:
 
 
 def run_grid(points=DEFAULT_GRID, degree_bound: int = 8, seed: int = 0) -> dict:
-    """Run the suite over a grid of (n, ell) points; combined JSON report."""
-    points = tuple(points)
+    """Run the suite over a grid of (n, ell) points; combined JSON report.
+    Every point is validated (as a ``Config``) before any suite runs."""
+    configs = [Config(n=n, ell=ell, degree_bound=degree_bound, seed=seed) for n, ell in points]
     suites = []
     ok = True
-    for n, ell in points:
-        cfg = Config(n=n, ell=ell, degree_bound=degree_bound, seed=seed)
+    for cfg in configs:
         results = run_suite(cfg)
         suites.append(suite_report(cfg, results))
         ok = ok and all_passed(results)
     return {
-        "grid": [{"n": n, "ell": ell} for n, ell in points],
+        "grid": [{"n": cfg.n, "ell": cfg.ell} for cfg in configs],
         "suites": suites,
-        "summary": {"ok": ok, "points": len(points)},
+        "summary": {"ok": ok, "points": len(configs)},
     }

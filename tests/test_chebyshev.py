@@ -97,3 +97,8 @@ def test_identities_reject_nonpositive_order():
     for fn in (identity_che1, identity_che2, identity_rho):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_chebyshev_rejects_a_negative_index():
+    with pytest.raises(ValueError, match=r"^Chebyshev index must be >= 0, got -1$"):
+        chebyshev_T(-1)

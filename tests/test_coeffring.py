@@ -153,3 +153,22 @@ def test_specialize_is_a_ring_homomorphism(a, b, vals):
     vals = list(vals)
     assert (a * b).specialize(vals) == a.specialize(vals) * b.specialize(vals)
     assert (a + b).specialize(vals) == a.specialize(vals) + b.specialize(vals)
+
+
+def test_specialize_rejects_bad_values():
+    t1 = ring().t(1)
+    with pytest.raises(ValueError, match=r"^expected 3 values, got 2$"):
+        t1.specialize([Cyclotomic.one(2)] * 2)
+    with pytest.raises(ValueError, match=r"^specialization values must lie in Q\(zeta\) for this ell$"):
+        t1.specialize([zeta_power(3, 1)] * 3)
+
+
+def test_param_ring_rejects_bad_parameters():
+    with pytest.raises(ValueError, match=r"^expected 3 parameter values, got 2$"):
+        ParamRing(3, 2, (Cyclotomic.one(2),) * 2)
+    with pytest.raises(ValueError, match=r"^parameter values must be Cyclotomic of matching ell$"):
+        ParamRing(3, 2, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^scalar from a different cyclotomic field$"):
+        ring().from_cyclotomic(zeta_power(3, 1))
+    with pytest.raises(ValueError, match=r"^parameter index 0 out of range 1..3$"):
+        ring().t(0)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from twisted_hecke.crossed import Monomial, exponents_bounded
+from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
 from twisted_hecke.exprs import eval_scalar
 from twisted_hecke.group import GroupElem, action_char_exp, alpha, alpha_exp
@@ -46,7 +46,7 @@ def reference_crossed_mul(alg, a, b):
     for (p, g), ca in a.terms.items():
         for (q, h), cb in b.terms.items():
             v = reference_twist(alg, g, q, h, ca * cb)
-            accumulate(out, Monomial(tuple(x + y for x, y in zip(p, q)), g * h), v)
+            accumulate(out, (tuple(x + y for x, y in zip(p, q)), g * h), v)
     return alg.elem_type(alg, out)
 
 
@@ -58,7 +58,7 @@ def reference_hecke_mul(H, a, b):
             gh = g * h
             # x^p x^q normal-ordered at g = 1, then each term c x^r k times gh
             for (r, k), c in H._normal_product(p, q).items():
-                accumulate(out, Monomial(r, k * gh), (base * c).scale(alpha(k, gh)))
+                accumulate(out, (r, k * gh), (base * c).scale(alpha(k, gh)))
     return HeckeElem(H, out)
 
 
@@ -121,7 +121,7 @@ def test_insert_twists_by_the_cocycle_formula():
             g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
             expected = {}
             for r, k, c in H._insert(i, q):
-                accumulate(expected, Monomial(r, k * g), c.scale(alpha(k, g)))
+                accumulate(expected, (r, k * g), c.scale(alpha(k, g)))
             assert H.mul(H.gen_x(i), H.monomial(q, g)) == HeckeElem(H, expected)
 
 

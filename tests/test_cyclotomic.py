@@ -358,3 +358,32 @@ def test_power_by_squaring_makes_no_wasted_product(k, products):
     assert result.k == k and CountingPower.products == products
     if k == 0:
         assert result is one
+
+
+def test_rsub_and_truediv():
+    z = zeta_power(3, 1)
+    assert 1 - z == Cyclotomic.one(3) - z
+    assert str(1 - z) == "1 - zeta"
+    assert z / (z - 1) == z * (z - 1).inv()
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a / b,
+        Cyclotomic.__rsub__,
+    ],
+)
+def test_mixed_orders_raise(op):
+    with pytest.raises(ValueError, match=r"^mixed cyclotomic orders 3 and 4$"):
+        op(zeta_power(3, 1), zeta_power(4, 1))
+
+
+def test_non_integer_power_and_order_are_rejected():
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\* or pow\(\)"):
+        zeta_power(3, 1) ** 1.5
+    with pytest.raises(ValueError, match=r"^ell must be a positive integer, got 0$"):
+        zeta_power(0, 1)

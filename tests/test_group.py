@@ -305,3 +305,12 @@ def test_products_built_by_make_equal_public_construction():
         assert hash(made) == hash(public)
         assert made.e == public.e and made.n == n and made.ell == ell
     assert len({g * h, GroupElem(n, ell, (0, 1, 1))}) == 1
+
+
+def test_group_elements_reject_bad_shapes():
+    with pytest.raises(ValueError, match=r"^expected 2 exponents, got 1$"):
+        GroupElem(3, 2, (0,))
+    with pytest.raises(ValueError, match=r"^group elements from different groups$"):
+        GroupElem(3, 2, (0, 1)) * GroupElem(3, 3, (0, 1))
+    with pytest.raises(ValueError, match=r"^exponent vector must have length 3$"):
+        action_char(GroupElem(3, 2, (0, 1)), (1, 2))

@@ -13,7 +13,6 @@ from twisted_hecke.group import GroupElem, star_mul
 from twisted_hecke.hecke import (
     HeckeAlgebra,
     HeckeElem,
-    PBWMonomial,
     cover_complement,
     enumerate_J,
     relation_b_terms,
@@ -49,11 +48,11 @@ def test_configuration_bounds():
 def test_generator_monomials(H43):
     x1 = H43.gen_x(1)
     ((mono, coeff),) = x1.terms.items()
-    assert mono == PBWMonomial((1, 0, 0, 0), H43.identity_g)
+    assert mono == ((1, 0, 0, 0), H43.identity_g)
     assert coeff == H43.ring.one()
     gn = H43.gen_g(4)
-    ((mono, _),) = gn.terms.items()
-    assert mono.g.e == (2, 2, 2)
+    (((_, g), _),) = gn.terms.items()
+    assert g.e == (2, 2, 2)
     with pytest.raises(ValueError):
         H43.gen_x(5)
 
@@ -168,7 +167,7 @@ def test_build_w_at_t_zero():
 def test_x_pow_ell_and_products(H32):
     a = H32.x_pow_ell(1)
     ((mono, coeff),) = a.terms.items()
-    assert mono == PBWMonomial((2, 0, 0), H32.identity_g)
+    assert mono == ((2, 0, 0), H32.identity_g)
     assert coeff == H32.ring.one()
     prod = H32.mul(H32.x_pow_ell(1), H32.x_pow_ell(2))
     assert prod == H32.monomial((2, 2, 0))
@@ -227,7 +226,7 @@ def test_filtration_and_top_part():
             assert prod.total_degree() <= da + db
             # the degree-(da+db) part is the associated-graded product
             gr = alg.gr_mul(a.top_part(), b.top_part())
-            top = {m: c for m, c in prod.terms.items() if sum(m.p) == da + db}
+            top = {(p, g): c for (p, g), c in prod.terms.items() if sum(p) == da + db}
             assert top == gr.terms
 
 
@@ -236,9 +235,21 @@ def test_pbw_independence_evidence():
     assert HeckeAlgebra(3, 3).pbw_independence_evidence(8)
 
 
+def test_pbw_independence_evidence_fails_without_w(monkeypatch):
+    # with w replaced by 1, x^(ell p) w^m lacks its leading monomial for m >= 1
+    monkeypatch.setattr(HeckeAlgebra, "w_power", lambda self, k: self.one())
+    assert not HeckeAlgebra(3, 2).pbw_independence_evidence(3)
+
+
+def test_negative_w_power_and_zero_degree(H32):
+    with pytest.raises(ValueError, match=r"^negative power of w$"):
+        H32.w_power(-1)
+    assert H32.zero().total_degree() == -1
+
+
 def test_w_leading_term(H32):
     w = H32.build_w()
-    lead = PBWMonomial((1, 1, 1), H32.identity_g)
+    lead = ((1, 1, 1), H32.identity_g)
     assert w.terms[lead] == H32.ring.one()
 
 
@@ -388,7 +399,7 @@ def reference_w(H):
         for i in subset:
             c, g = star_mul(g, GroupElem.generator(n, ell, i))
             scal = scal * c
-        accumulate(acc, PBWMonomial(cover_complement(n, subset), g), coeff.scale(scal))
+        accumulate(acc, (cover_complement(n, subset), g), coeff.scale(scal))
     return HeckeElem(H, acc)
 
 

@@ -8,7 +8,7 @@ from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.group import GroupElem, all_elements
 from twisted_hecke.hecke import HeckeAlgebra
-from twisted_hecke.laurent import LaurentAlgebra, LaurentMonomial
+from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import random_hecke_elem
 
 
@@ -38,12 +38,9 @@ def test_theta_x_two_term_form(pair43):
     for i in (1, 2, 3, 4):
         img = L.theta_x(i)
         assert len(img.terms) == 2
-        top = LaurentMonomial(tuple(1 if j == i - 1 else 0 for j in range(4)), L.identity_g)
+        top = (tuple(1 if j == i - 1 else 0 for j in range(4)), L.identity_g)
         assert img.terms[top] == L.ring.one()
-        low = LaurentMonomial(
-            tuple(-1 if j == i % 4 else 0 for j in range(4)),
-            GroupElem.generator(4, 3, i),
-        )
+        low = (tuple(-1 if j == i % 4 else 0 for j in range(4)), GroupElem.generator(4, 3, i))
         zeta = zeta_power(3, 1)
         expected = L.ring.t(i).scale(-(zeta * (zeta - 1).inv()))
         assert img.terms[low] == expected
@@ -96,7 +93,7 @@ def test_closed_form_sign_for_odd_n_even_ell(pair32):
     # at n = 3, ell = 2 the sign (-1)^(n(ell-1)) is -1, so the second
     # term of the closed form for i = n is +tau_n^2 y_1^(-2)
     closed = L.theta_xi_ell_closed(3)
-    low = LaurentMonomial((-2, 0, 0), L.identity_g)
+    low = ((-2, 0, 0), L.identity_g)
     assert closed.terms[low] == L.ring.tau(3) ** 2
 
 
@@ -178,11 +175,11 @@ def injectivity_all_g(L, max_degree):
             img = img_p
             if not g.is_identity():
                 img = L.lmul(img_p, L.monomial(L._zero_p, g))
-            lead = LaurentMonomial(p, g)
+            lead = (p, g)
             if img.terms.get(lead) != one:
                 return False
-            for mono in img.terms:
-                if mono.total_degree >= d and mono != lead:
+            for q, h in img.terms:
+                if sum(q) >= d and (q, h) != lead:
                     return False
     return True
 
@@ -210,12 +207,21 @@ def test_injectivity_checks_reject_a_same_degree_term(n, ell, monkeypatch):
     assert not injectivity_all_g(L, 3)
 
 
+@pytest.mark.parametrize("n,ell", INJECTIVITY_POINTS)
+def test_injectivity_checks_reject_a_leading_coefficient_other_than_one(n, ell, monkeypatch):
+    real = LaurentAlgebra._theta_monomial
+    monkeypatch.setattr(LaurentAlgebra, "_theta_monomial", lambda L, p: real(L, p).scale(2))
+    L = LaurentAlgebra(n, ell)
+    assert not L.injectivity_spotcheck(3)
+    assert not injectivity_all_g(L, 3)
+
+
 def test_theta_leading_terms(pair32):
     H, L = pair32
     img = L.theta(H.monomial((1, 1, 0)))
-    lead = LaurentMonomial((1, 1, 0), L.identity_g)
+    lead = ((1, 1, 0), L.identity_g)
     assert img.terms[lead] == L.ring.one()
-    assert all(m.total_degree < 2 for m in img.terms if m != lead)
+    assert all(sum(q) < 2 for q, h in img.terms if (q, h) != lead)
 
 
 def test_theta_rejects_mismatched_configuration(pair32):
@@ -223,6 +229,15 @@ def test_theta_rejects_mismatched_configuration(pair32):
     L43 = LaurentAlgebra(4, 3)
     with pytest.raises(ValueError):
         L43.theta(H.gen_x(1))
+
+
+def test_theta_and_closed_forms_reject_bad_input(pair32):
+    _, L = pair32
+    with pytest.raises(TypeError, match=r"^theta expects a Hecke element$"):
+        L.theta(L.one())
+    with pytest.raises(ValueError, match=r"^index 0 out of range 1..3$"):
+        L.theta_xi_ell_closed(0)
+    assert L.zero().total_degree() == -1
 
 
 def test_render_golden(pair32):

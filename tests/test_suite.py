@@ -260,6 +260,14 @@ def test_run_grid_single_point():
     assert len(report["suites"]) == 1
 
 
+def test_run_grid_checks_every_point_before_running_any(monkeypatch):
+    calls = []
+    monkeypatch.setattr(suite, "run_suite", lambda cfg: calls.append(cfg) or [])
+    with pytest.raises(ValueError, match=r"^n must be between 3 and 16, got 2$"):
+        run_grid([(3, 2), (2, 2)])
+    assert calls == []
+
+
 def test_run_grid_takes_points_from_an_iterator():
     report = run_grid(iter([(3, 2)]))
     assert report["grid"] == [{"n": 3, "ell": 2}]
