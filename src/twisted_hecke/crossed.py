@@ -15,7 +15,10 @@ vector of g (``group.twist_exp``) and applied to the coefficient as a
 shift (``times_zeta``), not a product.  This module holds that law, the
 element type (its sums and scalings from ``cyclotomic.SparseSum``) and the
 algebra plumbing; the subclasses add PBW rewriting (Hecke) and theta
-(Laurent).
+(Laurent).  Every product of either algebra ends in the law's right group
+step, the case q = 0: c m^r k times g is alpha(k, g) c m^r (kg).  The PBW
+product, its normal-ordering and theta all take it from
+``CrossedAlgebra._accumulate_times``.
 """
 
 from __future__ import annotations
@@ -175,6 +178,26 @@ class CrossedAlgebra:
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         return self.monomial(tuple(k if j == i - 1 else 0 for j in range(self.n)))
+
+    def _accumulate_times(self, out: dict, items, c, g: GroupElem) -> None:
+        """Add (sum of v m^r k) * c * g into the term map ``out``, where
+        ``items`` yields the ((r, k), v) pairs of the sum: the right group step
+        every product ends in.  By the law with q = 0, each term becomes
+        alpha(k, g) (c v) m^r (kg).  No coefficient product is formed when v
+        or c is the ring's one, no twist or group product when g is the
+        identity, and no twist when k is."""
+        one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
+        moved = not g.is_identity()
+        for (r, k), v in items:
+            if c is not one:
+                v = c if v is one else c * v
+            if moved:
+                if k is ident:
+                    k = g
+                else:
+                    v = v.times_zeta(twist_exp(k, zero, g))
+                    k = k * g
+            accumulate(out, (r, k), v)
 
     def gen_g(self, i: int):
         return self.monomial(self._zero_p, GroupElem.generator(self.n, self.ell, i))

@@ -240,8 +240,6 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
         ell, num = self.ell, self.num
-        if not any(num[1:]):
-            return Cyclotomic.from_rational(ell, Fraction(self.den, num[0]))
         conj = Cyclotomic.one(ell)
         for k in range(2, ell):
             if gcd(k, ell) == 1:

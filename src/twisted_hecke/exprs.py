@@ -129,25 +129,16 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, expected: str):
+    def _unexpected(self, expected: str) -> ParseError:
+        """The syntax error at the next token, which is not ``expected``."""
         tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected {self._describe(tok)}", tok[2], expected)
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok):
-        if tok[0] == "end":
-            return "end of input"
-        return f"token {str(tok[1])!r}"
+        found = "end of input" if tok[0] == "end" else f"token {str(tok[1])!r}"
+        return ParseError(f"unexpected {found}", tok[2], expected)
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(
-                f"unexpected {self._describe(tok)}", tok[2], "'+', '-', '*', '^' or end"
-            )
+        if self.peek()[0] != "end":
+            raise self._unexpected("'+', '-', '*', '^' or end")
         return node
 
     def expr(self):
@@ -182,9 +173,7 @@ class _Parser:
             self.advance()
             tok = self.peek()
         if tok[0] != "num" or tok[1].denominator != 1:
-            raise ParseError(
-                f"unexpected {self._describe(tok)}", tok[2], "an integer exponent"
-            )
+            raise self._unexpected("an integer exponent")
         self.advance()
         exp = sign * tok[1].numerator
         if exp < 0 and not (isinstance(base, Sym) and base.kind in ("y", "g")):
@@ -210,11 +199,11 @@ class _Parser:
         if tok[0] == "(":
             self.advance()
             node = self.expr()
-            self.expect(")", "')'")
+            if self.peek()[0] != ")":
+                raise self._unexpected("')'")
+            self.advance()
             return node
-        raise ParseError(
-            f"unexpected {self._describe(tok)}", tok[2], "a number, name or '('"
-        )
+        raise self._unexpected("a number, name or '('")
 
 
 def parse(text: str):

@@ -13,7 +13,8 @@ Multiplication normal-orders the concatenated word by moving each left
 factor x_i rightward to its slot.  The group factor of a PBW monomial sits
 at the right end, so x_i (x^q g) = (x_i x^q) g: the rewriting happens at
 g = 1, its caches are keyed by exponents alone, and the group factor is
-applied once, on the right, where c x^r k times g is alpha(k, g) c x^r (kg).
+applied once, on the right, by the crossed product's right group step:
+c x^r k times g is alpha(k, g) c x^r (kg).
 Passing a power x_j^m is free unless the pair is cyclically adjacent, in
 which case a correction term of total degree two lower is emitted: the
 relation contributes +-t g, the group element picks up an action character
@@ -155,7 +156,7 @@ class HeckeAlgebra(CrossedAlgebra):
     # -- multiplication --------------------------------------------------
 
     def _insert(self, i: int, q: tuple):
-        """x_i * x^q in PBW form, as ((exponents, group, coeff), ...).
+        """x_i * x^q in PBW form, as term-map items (((exponents, group), coeff), ...).
 
         The rewriting happens at g = 1, since x_i (x^q g) = (x_i x^q) g; the
         callers apply the group factor on the right.  The main term moves x_i
@@ -170,7 +171,7 @@ class HeckeAlgebra(CrossedAlgebra):
         n, ell, ring = self.n, self.ell, self.ring
         main = list(q)
         main[i - 1] += 1
-        out = [(tuple(main), self.identity_g, ring.one())]
+        out = [((tuple(main), self.identity_g), ring.one())]
         # (relation r, passed position, sign s): x_(i-1) before x_i, x_1 after x_n
         for r, j, s in [(i - 1, i - 2, -1)] * (i >= 2) + [(n, 0, 1)] * (i == n):
             terms = (zeta_power(ell, s * (q[i - 1] - v)) for v in range(q[j]))
@@ -181,7 +182,7 @@ class HeckeAlgebra(CrossedAlgebra):
             if coeff:  # a specialised t_r may be 0
                 lower = list(q)
                 lower[j] -= 1
-                out.append((tuple(lower), GroupElem.generator(n, ell, r), coeff))
+                out.append(((tuple(lower), GroupElem.generator(n, ell, r)), coeff))
         out = tuple(out)
         self._insert_cache[key] = out
         return out
@@ -194,22 +195,12 @@ class HeckeAlgebra(CrossedAlgebra):
         hit = self._product_cache.get(key)
         if hit is not None:
             return hit
-        one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
-        cur = {(q, ident): one}
+        cur = {(q, self.identity_g): self.ring.one()}
         for i in range(self.n, 0, -1):
             for _ in range(p[i - 1]):
                 nxt: dict = {}
                 for (qq, gg), c in cur.items():
-                    for q2, k, c2 in self._insert(i, qq):
-                        if c2 is one:
-                            nc = c
-                        elif c is one:
-                            nc = c2
-                        else:
-                            nc = c * c2
-                        if k is not ident:
-                            nc = nc.times_zeta(twist_exp(k, zero, gg))
-                        accumulate(nxt, (q2, gg if k is ident else k * gg), nc)
+                    self._accumulate_times(nxt, self._insert(i, qq), c, gg)
                 cur = nxt
         self._product_cache[key] = cur
         return cur
@@ -218,7 +209,6 @@ class HeckeAlgebra(CrossedAlgebra):
         """Product in H in canonical PBW form: each term pair is twisted as in
         the crossed product, normal-ordered at g = 1 and multiplied by gh."""
         a._check(b)
-        one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
         out: dict = {}
         for (p, g), ca in a.terms.items():
             for (q, h), cb in b.terms.items():
@@ -226,12 +216,7 @@ class HeckeAlgebra(CrossedAlgebra):
                 z = twist_exp(g, q, h)
                 if z:
                     base = base.times_zeta(z)
-                gh = g * h
-                for (q2, k), c in self._normal_product(p, q).items():
-                    v = base if c is one else base * c
-                    if k is not ident:
-                        v = v.times_zeta(twist_exp(k, zero, gh))
-                    accumulate(out, (q2, gh if k is ident else k * gh), v)
+                self._accumulate_times(out, self._normal_product(p, q).items(), base, g * h)
         return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the

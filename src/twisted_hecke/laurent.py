@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
-from .cyclotomic import accumulate, zeta_power
-from .group import GroupElem, twist_exp
+from .cyclotomic import zeta_power
+from .group import GroupElem
 from .hecke import HeckeElem, relation_a_terms, relation_b_terms
 
 __all__ = ["LaurentElem", "LaurentAlgebra"]
@@ -95,24 +95,15 @@ class LaurentAlgebra(CrossedAlgebra):
 
     def theta(self, a: HeckeElem) -> LaurentElem:
         """Image of a Hecke element: each PBW monomial x^p g maps to
-        theta(x_1)^(p_1) ... theta(x_n)^(p_n) g, extended linearly."""
+        theta(x_1)^(p_1) ... theta(x_n)^(p_n) g, extended linearly: the cached
+        image of x^p times c y^0 g, the crossed product's right group step."""
         if not isinstance(a, HeckeElem):
             raise TypeError("theta expects a Hecke element")
         if not self.ring.same_parameters(a.alg.ring):
             raise ValueError("Hecke element from an incompatible configuration")
         total: dict = {}
-        one = self.ring.one()
-        zero = self._zero_p
         for (p, g), c in a.terms.items():
-            scaled, moved = c != one, not g.is_identity()
-            for m, v in self._theta_monomial(p).terms.items():
-                if scaled:
-                    v = v * c
-                if moved:
-                    # times y^0 g: c' y^q h -> alpha(h, g) c' y^q (hg)
-                    q, h = m
-                    m, v = (q, h * g), v.times_zeta(twist_exp(h, zero, g))
-                accumulate(total, m, v)
+            self._accumulate_times(total, self._theta_monomial(p).terms.items(), c, g)
         return LaurentElem._new(self, total)
 
     # -- closed forms and identities ---------------------------------------

@@ -120,9 +120,44 @@ def test_insert_twists_by_the_cocycle_formula():
             q = tuple(rng.randint(0, 3) for _ in range(n))
             g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
             expected = {}
-            for r, k, c in H._insert(i, q):
+            for (r, k), c in H._insert(i, q):
                 accumulate(expected, (r, k * g), c.scale(alpha(k, g)))
             assert H.mul(H.gen_x(i), H.monomial(q, g)) == HeckeElem(H, expected)
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n,ell", [(3, 2), (4, 3), (5, 4)])
+def test_right_group_step_is_the_product_by_c_g(n, ell, specialised):
+    # _accumulate_times(out, items, c, g) adds (sum of v m^r k) * (c m^0 g)
+    # into out, as the reference crossed product computes it, whichever of
+    # its skips apply: c or v the ring's one, g or k the identity
+    t = t_values(n, ell, specialised)
+    H, L = HeckeAlgebra(n, ell, t), LaurentAlgebra(n, ell, t)
+    rng = random.Random(f"right-step:{n}:{ell}:{specialised}")
+    zero = (0,) * n
+    # the identity, but not the algebras' own identity object
+    g1_ell = GroupElem.generator(n, ell, 1) ** ell
+    assert g1_ell == H.identity_g and g1_ell is not H.identity_g
+    for _ in range(6):
+        a = random_hecke_elem(H, rng)
+        i, q = rng.randint(1, n), tuple(rng.randint(0, 3) for _ in range(n))
+        sums = [
+            (H, a.terms),
+            (H, dict(H._insert(i, q))),  # the main term's k is identity_g
+            (L, L.theta(a).terms),
+            (L, L._theta_monomial(q).terms),
+        ]
+        h = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
+        for alg, terms in sums:
+            start = random_hecke_elem(H, rng) if alg is H else random_laurent_elem(L, rng)
+            t_j = alg.ring.t(rng.randint(1, n))
+            coeffs = (alg.ring.one(), t_j.scale(zeta_power(ell, 1) - 2))
+            left = alg.elem_type(alg, terms)
+            for c, g in itertools.product(coeffs, (alg.identity_g, g1_ell, h)):
+                out = dict(start.terms)
+                alg._accumulate_times(out, terms.items(), c, g)
+                expected = start + reference_crossed_mul(alg, left, alg.monomial(zero, g, c))
+                assert alg.elem_type(alg, out) == expected
 
 
 def is_exponent_data(x):

@@ -94,7 +94,7 @@ def built_coefficients(H, L):
         eval_laurent(parse("t2*y1^-1*g1 + zeta"), L),
     ]
     elems += [L.theta_x(i) for i in range(1, n + 1)]
-    products = [c for key in list(H._insert_cache) for _, _, c in H._insert(*key)]
+    products = [c for key in list(H._insert_cache) for _, c in H._insert(*key)]
     products += [c for key in list(H._product_cache) for c in H._normal_product(*key).values()]
     coeffs = scalars + products
     for elem in elems:
