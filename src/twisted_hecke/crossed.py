@@ -115,16 +115,19 @@ class CrossedElem(SparseSum):
 
 def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> CrossedElem:
     """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly; the
-    exponent of the root of unity comes from ``twist_exp``."""
+    exponent z of the root of unity comes from ``twist_exp``.  A left
+    coefficient is shifted to ca zeta^z once for each z it meets, at most
+    ell shifts per left term, and that shift multiplies cb."""
     a._check(b)
     out: dict = {}
     for (p, g), ca in a.terms.items():
+        shifted = {0: ca}  # ca zeta^z by z, each shift made once
         for (q, h), cb in b.terms.items():
-            v = ca * cb
             z = twist_exp(g, q, h)
-            if z:
-                v = v.times_zeta(z)
-            accumulate(out, (tuple(map(add, p, q)), g * h), v)
+            cz = shifted.get(z)
+            if cz is None:
+                cz = shifted[z] = ca.times_zeta(z)
+            accumulate(out, (tuple(map(add, p, q)), g * h), cz * cb)
     return alg.elem_type._new(alg, out)
 
 
@@ -185,9 +188,11 @@ class CrossedAlgebra:
         every product ends in.  By the law with q = 0, each term becomes
         alpha(k, g) (c v) m^r (kg).  No coefficient product is formed when v
         or c is the ring's one, no twist or group product when g is the
-        identity, and no twist when k is."""
+        identity, and no twist when k is.  Every identity element is the
+        object ``identity_g``, wherever it was built (g_1^ell, say), so both
+        identity tests are ``is``."""
         one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
-        moved = not g.is_identity()
+        moved = g is not ident
         for (r, k), v in items:
             if c is not one:
                 v = c if v is one else c * v

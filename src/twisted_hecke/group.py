@@ -6,6 +6,16 @@ zeta^(-1) (indices mod n).  Elements are stored as exponent vectors of
 g_1, ..., g_(n-1); the dependent generator g_n is rewritten into this basis
 on construction, so representations are unique.
 
+Each element of each group is one live object: every way of building an
+element returns the object already live for its exponents, so equality and
+hashing are those of the object, and the kernels test for the identity
+with ``is``.  The live elements of a group are held weakly, so an element
+is freed with its last reference and sweeping all |G| elements keeps one
+at a time.  Besides its exponent vector, an element carries an integer
+code with one bit field per exponent; a product adds the two codes, takes
+ell off each field that reached it and looks the result up, with no tuple
+built.
+
 The 2-cocycle twisting all crossed products here is
 
     alpha(g^e, g^f) = zeta^(-(e_1 f_2 + e_2 f_3 + ... + e_(n-2) f_(n-1)))
@@ -26,6 +36,8 @@ rows it is built from, which makes the twist every product reads bilinear.
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from operator import mul, sub
 
 from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
@@ -57,33 +69,114 @@ def check_bounds(n: int, ell: int) -> None:
         raise ValueError(f"ell must be >= 2, got {ell}")
 
 
+class _Group:
+    """The live elements of one group (Z/ell)^(n-1), one object each, keyed
+    by code and held weakly: an element no one references is freed, and
+    its entry with it.  Each element holds its group, so a group and its
+    table live exactly as long as one of its elements does.
+
+    The code of g^e holds e_k in bits (k-1)w to kw-1, with w =
+    ell.bit_length() + 1.  A field of the sum of two codes is below
+    2 ell <= 2^w, so no field carries into the next; adding bias =
+    2^(w-1) - ell to every field sets a field's top bit exactly where the
+    field reached ell, and one shift turns those top bits into the number
+    of ells to take off each field."""
+
+    __slots__ = ("n", "ell", "width", "bias", "high", "live", "_drop", "__weakref__")
+
+    def __init__(self, n: int, ell: int):
+        self.n, self.ell = n, ell
+        self.width = w = ell.bit_length() + 1
+        ones = sum(1 << (w * k) for k in range(n - 1))
+        self.bias = ((1 << (w - 1)) - ell) * ones
+        self.high = ones << (w - 1)
+        self.live: dict = {}  # code -> weakref.KeyedRef to the element
+        group = weakref.ref(self)  # the callback must not keep the group alive
+
+        def drop(ref):
+            live = group().live  # the dying element still holds its group
+            with _LOCK:
+                if live.get(ref.key) is ref:  # not an element made since
+                    del live[ref.key]
+
+        self._drop = drop
+
+    def code(self, e: tuple) -> int:
+        w, code = self.width, 0
+        for x in reversed(e):
+            code = (code << w) | x
+        return code
+
+    def elem(self, code: int, e: tuple | None = None) -> "GroupElem":
+        """The live element with this code (exponents ``e``, decoded from the
+        code when not given), made if there is none."""
+        with _LOCK:
+            ref = self.live.get(code)
+            if ref is not None:
+                g = ref()
+                if g is not None:
+                    return g
+            if e is None:
+                w = self.width
+                mask = (1 << w) - 1
+                e = tuple([(code >> (w * k)) & mask for k in range(self.n - 1)])
+            g = object.__new__(GroupElem)
+            g.n, g.ell, g.e, g._code, g._group = self.n, self.ell, e, code, self
+            self.live[code] = weakref.KeyedRef(g, self._drop, code)
+            return g
+
+
+_GROUPS = weakref.WeakValueDictionary()  # (n, ell) -> _Group
+# Held wherever a table entry is made or removed, so that two threads never
+# make two objects for one element; reentrant, because a collection inside
+# the lock may run a removal callback in the same thread.
+_LOCK = threading.RLock()
+
+
+def _group(n: int, ell: int) -> _Group:
+    group = _GROUPS.get((n, ell))
+    if group is None:
+        with _LOCK:
+            group = _GROUPS.get((n, ell))
+            if group is None:
+                group = _GROUPS[n, ell] = _Group(n, ell)
+    return group
+
+
 class GroupElem:
-    """An element of (Z/ell)^(n-1), as residues of exponents of g_1..g_(n-1)."""
+    """An element of (Z/ell)^(n-1), as residues of exponents of g_1..g_(n-1).
 
-    __slots__ = ("n", "ell", "e", "_hash")
+    There is one live object per element: the constructor, ``_make``,
+    ``identity``, ``generator``, ``*``, ``**``, ``inverse``, copies and
+    unpickling all return the object already live for those residues, so
+    ``==`` and ``hash`` are the object's own and equal elements are the
+    same object.  Besides ``e``, an element carries its integer code (see
+    ``_Group``), so a product is one integer sum and one lookup."""
 
-    def __init__(self, n: int, ell: int, e):
+    __slots__ = ("n", "ell", "e", "_code", "_group", "__weakref__")
+
+    def __new__(cls, n: int, ell: int, e):
         check_bounds(n, ell)
         e = tuple(e)
         if len(e) != n - 1:
             raise ValueError(f"expected {n - 1} exponents, got {len(e)}")
         if not all(isinstance(x, int) for x in e):
             raise ValueError(f"group exponents must be integers, got {e}")
-        e = tuple([x % ell for x in e])
-        self.n = n
-        self.ell = ell
-        self.e = e
-        self._hash = hash((n, ell, e))
+        return cls._make(n, ell, tuple([x % ell for x in e]))
+
+    def __init__(self, n: int, ell: int, e):
+        # every public construction passes here; __new__ did the work
+        pass
 
     @classmethod
     def _make(cls, n: int, ell: int, e: tuple) -> "GroupElem":
-        # fast path for products: (n, ell) already checked, residues in 0..ell-1
-        self = object.__new__(cls)
-        self.n = n
-        self.ell = ell
-        self.e = e
-        self._hash = hash((n, ell, e))
-        return self
+        # no checks: (n, ell) already checked, residues in 0..ell-1
+        group = _group(n, ell)
+        return group.elem(group.code(e), e)
+
+    def __reduce__(self):
+        # copies and unpickled elements are the live element
+        return GroupElem, (self.n, self.ell, self.e)
 
     @classmethod
     def identity(cls, n: int, ell: int) -> "GroupElem":
@@ -99,36 +192,36 @@ class GroupElem:
         return cls(n, ell, tuple(1 if j == i - 1 else 0 for j in range(n - 1)))
 
     def _check(self, other: "GroupElem"):
-        if self.n != other.n or self.ell != other.ell:
+        if self._group is not other._group:
             raise ValueError("group elements from different groups")
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
-        self._check(other)
-        ell = self.ell
-        e = tuple([(a + b) % ell for a, b in zip(self.e, other.e)])
-        return GroupElem._make(self.n, ell, e)
+        if not isinstance(other, GroupElem):
+            return NotImplemented
+        group = self._group
+        if other._group is not group:
+            raise ValueError("group elements from different groups")
+        s = self._code + other._code
+        s -= (((s + group.bias) & group.high) >> (group.width - 1)) * group.ell
+        # the hit path of group.elem, inlined: nearly every product is live
+        ref = group.live.get(s)
+        if ref is not None:
+            g = ref()
+            if g is not None:
+                return g
+        return group.elem(s)
 
     def __pow__(self, k: int) -> "GroupElem":
+        if not isinstance(k, int):
+            return NotImplemented
         ell = self.ell
-        return GroupElem._make(self.n, ell, tuple([(a * k) % ell for a in self.e]))
+        return self._make(self.n, ell, tuple([(a * k) % ell for a in self.e]))
 
     def inverse(self) -> "GroupElem":
         return self ** (-1)
 
     def is_identity(self) -> bool:
-        return not any(self.e)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElem)
-            and self._hash == other._hash
-            and self.e == other.e
-            and self.n == other.n
-            and self.ell == other.ell
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return not self._code
 
     def factors(self) -> list:
         """`g3^2`, `g1`, ...: the nonzero exponents, highest index first.
@@ -199,9 +292,15 @@ def star_power(g: GroupElem, m: int):
 
 
 def all_elements(n: int, ell: int):
-    """All ell^(n-1) group elements, in lexicographic order of exponents."""
-    for e in itertools.product(range(ell), repeat=n - 1):
-        yield GroupElem(n, ell, e)
+    """All ell^(n-1) group elements, in lexicographic order of exponents.
+    The residues are in range, so each is made unchecked, as by ``_make``,
+    with its code summed from one shifted field per exponent."""
+    check_bounds(n, ell)
+    group = _group(n, ell)
+    fields = [[x << (group.width * k) for x in range(ell)] for k in range(n - 1)]
+    codes = map(sum, itertools.product(*fields))
+    for e, code in zip(itertools.product(range(ell), repeat=n - 1), codes):
+        yield group.elem(code, e)
 
 
 def check_twist_rows(n: int, ell: int, part: str):

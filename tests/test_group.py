@@ -1,13 +1,21 @@
 """The homocyclic group, its cocycle, and the action characters."""
 
+import copy
+import gc
 import itertools
+import pickle
+import random
+import sys
+import threading
+import tracemalloc
+import weakref
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisted_hecke import group
+from twisted_hecke import HeckeAlgebra, group
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.group import (
     GroupElem,
@@ -314,3 +322,146 @@ def test_group_elements_reject_bad_shapes():
         GroupElem(3, 2, (0, 1)) * GroupElem(3, 3, (0, 1))
     with pytest.raises(ValueError, match=r"^exponent vector must have length 3$"):
         action_char(GroupElem(3, 2, (0, 1)), (1, 2))
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (5, 4), (16, 7), (16, 1000)])
+def test_products_by_code_agree_with_exponent_arithmetic(n, ell):
+    rng = random.Random(f"codes:{n}:{ell}")
+    for _ in range(300):
+        e = [rng.randrange(ell) for _ in range(n - 1)]
+        f = [rng.choice((0, ell - 1, rng.randrange(ell))) for _ in range(n - 1)]
+        g, h = GroupElem(n, ell, e), GroupElem(n, ell, f)
+        gh = g * h
+        assert gh.e == tuple((a + b) % ell for a, b in zip(e, f))
+        assert gh is GroupElem(n, ell, gh.e)
+        assert gh.is_identity() == (gh.e == (0,) * (n - 1))
+
+
+def test_every_construction_path_gives_the_live_element():
+    n, ell = 4, 3
+    g1, g3 = gen(n, ell, 1), gen(n, ell, 3)
+    g = GroupElem(n, ell, (1, 0, 2))
+    for same in [
+        GroupElem(n, ell, (4, -3, -1)),  # unreduced residues
+        GroupElem(n, ell, [1, 0, 2]),
+        GroupElem._make(n, ell, (1, 0, 2)),
+        g1 * g3.inverse(),
+        g3.inverse() * g1,
+        g1 * g3**2,
+        g**4,
+        g.inverse().inverse(),
+        (g**2).inverse(),
+        GroupElem.identity(n, ell) * g,
+        next(x for x in all_elements(n, ell) if x.e == (1, 0, 2)),
+    ]:
+        assert same is g
+    assert [x.e for x in all_elements(n, ell)] == list(itertools.product(range(ell), repeat=n - 1))
+    assert all(x is GroupElem(n, ell, x.e) for x in all_elements(n, ell))
+    ident = GroupElem.identity(n, ell)
+    for same in [
+        GroupElem(n, ell, (3, -6, 0)),
+        GroupElem._make(n, ell, (0, 0, 0)),
+        g1**ell,
+        g**0,
+        g * g.inverse(),
+        gen(n, ell, 1) * gen(n, ell, 2) * gen(n, ell, 3) * gen(n, ell, 4),
+    ]:
+        assert same is ident
+    assert gen(n, ell, 2) is GroupElem(n, ell, (0, 1, 0))
+    assert gen(n, ell, 4) is GroupElem(n, ell, (-1, -1, -1))
+    # equality and hashing are the object's own
+    assert g == GroupElem(n, ell, (1, 0, 2)) and g != GroupElem(n, ell, (1, 0, 1))
+    assert g != (1, 0, 2) and g != GroupElem(5, ell, (1, 0, 2, 0))
+    assert hash(g) == hash(GroupElem(n, ell, (4, 3, 5)))
+
+
+@pytest.mark.parametrize("a,b", [((3, 2), (3, 3)), ((3, 3), (3, 2)), ((4, 3), (3, 4)), ((3, 4), (4, 4))])
+def test_mixing_groups_raises(a, b):
+    g = GroupElem(a[0], a[1], (1,) * (a[0] - 1))
+    h = GroupElem(b[0], b[1], (1,) * (b[0] - 1))
+    with pytest.raises(ValueError, match=r"^group elements from different groups$"):
+        g * h
+    with pytest.raises(ValueError, match=r"^group elements from different groups$"):
+        alpha(g, h)
+
+
+def test_operands_that_are_no_group_elements_raise_type_error():
+    g = GroupElem(3, 4, (1, 2))
+    with pytest.raises(TypeError):
+        g**1.5
+    with pytest.raises(TypeError):
+        g ** "2"
+    with pytest.raises(TypeError):
+        g * 2
+    with pytest.raises(TypeError):
+        2 * g
+    with pytest.raises(TypeError):
+        g * (1, 2)
+
+
+def test_copies_and_pickles_are_the_live_element():
+    g = GroupElem(5, 4, (1, 2, 3, 0))
+    assert copy.copy(g) is g
+    assert copy.deepcopy(g) is g
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(g, protocol)) is g
+    assert pickle.loads(pickle.dumps([g, GroupElem.identity(5, 4)]))[1] is GroupElem.identity(5, 4)
+    H = HeckeAlgebra(4, 3)
+    a = H.mul(H.monomial((1, 0, 2, 1), gen(4, 3, 2)), H.gen_x(3)) + H.gen_g(4)
+    b = copy.deepcopy(a)
+    assert b == a and a == b
+    assert [g for _, g in b.terms] == [g for _, g in a.terms]
+    assert all(x is y for (_, x), (_, y) in zip(b.terms, a.terms))
+
+
+def test_no_element_outlives_its_last_reference():
+    g = GroupElem(6, 5, (1, 2, 3, 4, 0))
+    ref = weakref.ref(g)
+    del g
+    assert ref() is None
+    h = GroupElem(6, 5, (1, 2, 3, 4, 0))
+    assert h.e == (1, 2, 3, 4, 0) and h * h.inverse() is GroupElem.identity(6, 5)
+
+
+def test_a_sweep_over_the_group_leaves_no_memory_behind():
+    # one element is live at a time, and the table of live elements is
+    # freed with the group's last element
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in all_elements(8, 4)) == 4**7
+        assert check_twist_rows(8, 4, "char")[0]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000
+
+
+def test_threads_building_one_group_get_the_same_objects():
+    # each thread builds every element of a group no one holds yet; a lost
+    # update in the table would give two threads two objects for one element
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            n, ell = 6, 3 + trial
+            built = [[] for _ in range(4)]
+            gens = [gen(n, ell, i) for i in range(1, n)]
+
+            def build(out):
+                for e in itertools.product(range(ell), repeat=n - 1):
+                    out.append(GroupElem(n, ell, e) * gens[0] * gens[0].inverse())
+
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert all(len(out) == ell ** (n - 1) for out in built)
+            for same in zip(*built):
+                assert all(g is same[0] for g in same)
+    finally:
+        sys.setswitchinterval(switch)
