@@ -117,8 +117,12 @@ def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> Crosse
     """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly; the
     exponent z of the root of unity comes from ``twist_exp``.  A left
     coefficient is shifted to ca zeta^z once for each z it meets, at most
-    ell shifts per left term, and that shift multiplies cb."""
+    ell shifts per left term, and that shift multiplies cb.  No product is
+    formed when either factor is the ring's one object, so a product of
+    terms with coefficient one keeps that object (the leading term y^p of
+    every theta image, say)."""
     a._check(b)
+    one = alg.ring.one()
     out: dict = {}
     for (p, g), ca in a.terms.items():
         shifted = {0: ca}  # ca zeta^z by z, each shift made once
@@ -127,7 +131,8 @@ def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> Crosse
             cz = shifted.get(z)
             if cz is None:
                 cz = shifted[z] = ca.times_zeta(z)
-            accumulate(out, (tuple(map(add, p, q)), g * h), cz * cb)
+            v = cz if cb is one else cb if cz is one else cz * cb
+            accumulate(out, (tuple(map(add, p, q)), g * h), v)
     return alg.elem_type._new(alg, out)
 
 
@@ -146,6 +151,8 @@ class CrossedAlgebra:
         self.ell = ell
         self.ring = ParamRing(n, ell, t_values)
         self.identity_g = GroupElem.identity(n, ell)
+        # g_1, ..., g_n, built once: the rewriting and gen_g read them here
+        self._gens_g = tuple(GroupElem.generator(n, ell, i) for i in range(1, n + 1))
         self._zero_p = (0,) * n
 
     def compatible(self, other: "CrossedAlgebra") -> bool:
@@ -186,26 +193,44 @@ class CrossedAlgebra:
         """Add (sum of v m^r k) * c * g into the term map ``out``, where
         ``items`` yields the ((r, k), v) pairs of the sum: the right group step
         every product ends in.  By the law with q = 0, each term becomes
-        alpha(k, g) (c v) m^r (kg).  No coefficient product is formed when v
-        or c is the ring's one, no twist or group product when g is the
-        identity, and no twist when k is.  Every identity element is the
-        object ``identity_g``, wherever it was built (g_1^ell, say), so both
-        identity tests are ``is``."""
+        alpha(k, g) (c v) m^r (kg) = (c zeta^z) v m^r (kg), with z the
+        exponent of alpha(k, g).  c is fixed for the call, so it is shifted
+        once for each nonzero z it meets, at most ell - 1 shifts whatever the
+        number of terms; the map of shifts is made at the first term that
+        needs one, so the many short calls that need none pay nothing for it.
+        When c is the ring's one, v is shifted instead.  No coefficient
+        product is formed when v or c is the ring's one, no twist or group
+        product when g is the identity, and no twist when k is.  Every
+        identity element is the object ``identity_g``, wherever it was built
+        (g_1^ell, say), so both identity tests are ``is``."""
         one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
         moved = g is not ident
+        shifted = None  # c zeta^z by z != 0, each shift made once
         for (r, k), v in items:
-            if c is not one:
-                v = c if v is one else c * v
+            cz = c
             if moved:
                 if k is ident:
                     k = g
                 else:
-                    v = v.times_zeta(twist_exp(k, zero, g))
+                    z = twist_exp(k, zero, g)
                     k = k * g
+                    if c is one:
+                        # shifting v costs what shifting c would
+                        v = v.times_zeta(z)
+                    elif z:
+                        if shifted is None:
+                            shifted = {}
+                        cz = shifted.get(z)
+                        if cz is None:
+                            cz = shifted[z] = c.times_zeta(z)
+            if cz is not one:
+                v = cz if v is one else cz * v
             accumulate(out, (r, k), v)
 
     def gen_g(self, i: int):
-        return self.monomial(self._zero_p, GroupElem.generator(self.n, self.ell, i))
+        if not 1 <= i <= self.n:
+            raise ValueError(f"generator index {i} out of range 1..{self.n}")
+        return self.monomial(self._zero_p, self._gens_g[i - 1])
 
     def commutator(self, a, b):
         return self.mul(a, b) - self.mul(b, a)

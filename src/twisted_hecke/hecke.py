@@ -182,7 +182,7 @@ class HeckeAlgebra(CrossedAlgebra):
             if coeff:  # a specialised t_r may be 0
                 lower = list(q)
                 lower[j] -= 1
-                out.append(((tuple(lower), GroupElem.generator(n, ell, r)), coeff))
+                out.append(((tuple(lower), self._gens_g[r - 1]), coeff))
         out = tuple(out)
         self._insert_cache[key] = out
         return out
@@ -248,15 +248,23 @@ class HeckeAlgebra(CrossedAlgebra):
 
     def w_power(self, k: int) -> HeckeElem:
         """w^k from the successive powers w^0, w^1, ...: each new power is one
-        product by w, which has only |J| terms, so w^3 * w is cheaper than
-        w^2 * w^2."""
+        product by w, which has only |J| terms, so w * w^3 is cheaper than
+        w^2 * w^2.
+
+        w goes on the left: w * w^(k-1) = w^k = w^(k-1) * w in any
+        associative algebra, since powers of one element commute with each
+        other; no centrality of w is used (``centrality-w`` checks that on
+        its own).  The order matters for the cost, because
+        ``_normal_product(p, q)`` inserts the |p| letters of the left factor
+        into x^q one at a time, and w's monomials have |p| <= n where those
+        of w^(k-1) reach |p| = n(k-1)."""
         if k < 0:
             raise ValueError("negative power of w")
         pows = self._w_pows
         if k:
             self.build_w()
         while len(pows) <= k:
-            pows.append(self.mul(pows[-1], pows[1]))
+            pows.append(self.mul(pows[1], pows[-1]))
         return pows[k]
 
     def is_central(self, z: HeckeElem):

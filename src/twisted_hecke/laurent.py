@@ -22,7 +22,6 @@ from functools import reduce
 
 from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import zeta_power
-from .group import GroupElem
 from .hecke import HeckeElem, relation_a_terms, relation_b_terms
 
 __all__ = ["LaurentElem", "LaurentAlgebra"]
@@ -51,8 +50,7 @@ class LaurentAlgebra(CrossedAlgebra):
         self._theta_mono: dict = {self._zero_p: self.one()}
         zeta = zeta_power(ell, 1)
         scal = -(zeta * (zeta - 1).inv())
-        for i in range(1, n + 1):
-            gi = GroupElem.generator(n, ell, i)
+        for i, gi in enumerate(self._gens_g, 1):
             q_low = tuple(-1 if k == i % n else 0 for k in range(n))
             low = self.monomial(q_low, gi, self.ring.t(i).scale(scal))
             self._theta_mono[tuple(int(k == i - 1) for k in range(n))] = self.gen_y(i) + low

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import chebyshev
 from .crossed import exponents_bounded
-from .cyclotomic import Cyclotomic, zeta_power
+from .cyclotomic import Cyclotomic, accumulate
 from .exprs import eval_hecke, eval_laurent, parse
 from .group import GroupElem, check_bounds, check_twist_rows, star_power
 from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, independence_exponents
@@ -93,23 +93,25 @@ def random_hecke_elem(
     alg: HeckeAlgebra, rng: random.Random, max_degree: int = 3, max_terms: int = 3
 ) -> HeckeElem:
     """A random sparse element: few monomials of bounded filtration degree
-    with small monomial coefficients (rational times zeta power times t's)."""
-    n, ell = alg.n, alg.ell
-    total = alg.zero()
+    with small monomial coefficients (rational times zeta power times t's).
+    The terms go straight into one map: the group residues are drawn in
+    range, so each element is made unchecked, and zeta^k is a shift."""
+    n, ell, ring = alg.n, alg.ell, alg.ring
+    terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         d = rng.randint(0, max_degree)
         p = [0] * n
         for _ in range(d):
             p[rng.randrange(n)] += 1
-        g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
+        g = GroupElem._make(n, ell, tuple([rng.randrange(ell) for _ in range(n - 1)]))
         rat = Fraction(rng.choice((1, -1, 2, -2, 1, 3)), rng.choice((1, 1, 2)))
-        coeff = alg.ring.from_cyclotomic(
-            zeta_power(ell, rng.randrange(ell)) * Cyclotomic.from_rational(ell, rat)
+        coeff = ring.from_cyclotomic(
+            Cyclotomic.from_rational(ell, rat).times_zeta(rng.randrange(ell))
         )
         for _ in range(rng.randint(0, 2)):
-            coeff = coeff * alg.ring.t(rng.randint(1, n))
-        total = total + alg.monomial(tuple(p), g, coeff)
-    return total
+            coeff = coeff * ring.t(rng.randint(1, n))
+        accumulate(terms, (tuple(p), g), coeff)
+    return HeckeElem._new(alg, terms)
 
 
 def theta_homomorphism_samples(

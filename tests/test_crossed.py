@@ -191,20 +191,32 @@ def test_rewriting_caches_hold_no_group_element():
 
 
 def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
-    # with t specialised every coefficient is one term, so an r-term by an
-    # s-term product costs r*s Q(zeta) products; zeta^k scaling adds none
+    # with t specialised every coefficient is one term, so a term pair costs
+    # one Q(zeta) product, and none when a factor is the ring's one object:
+    # cb, or the shifted left coefficient ca zeta^z (one only when ca is and
+    # z = 0); zeta^k scaling adds none
     n, ell = 4, 3
     L = LaurentAlgebra(n, ell, t_values(n, ell, True))
+    one = L.ring.one()
     rng = random.Random("count")
     a = sum((random_laurent_elem(L, rng) for _ in range(3)), L.zero())
     b = sum((random_laurent_elem(L, rng) for _ in range(3)), L.zero())
-    twisted = sum(
-        1
-        for (_, g), _ in a.terms.items()
-        for (q, h), _ in b.terms.items()
-        if (action_char_exp(g, q) + alpha_exp(g, h)) % ell
-    )
-    assert twisted > 0
+    # terms with coefficient one, at exponents no random term has: one with
+    # g = 1 (every pair untwisted) and one with a g that twists
+    twisting = GroupElem(n, ell, (1, 2, 0))
+    a = a + L.monomial((4,) * n) + L.monomial((5,) * n, twisting)
+    b = b + L.monomial((4,) * n, twisting)
+    assert sum(c is one for c in a.terms.values()) == 2
+    assert sum(c is one for c in b.terms.values()) == 1
+    pairs = [
+        (ca, (action_char_exp(g, q) + alpha_exp(g, h)) % ell, cb)
+        for (_, g), ca in a.terms.items()
+        for (q, h), cb in b.terms.items()
+    ]
+    assert any(z for _, z, _ in pairs)
+    assert any(ca is one and z for ca, z, _ in pairs)  # one shifted is not one
+    expected = sum(1 for ca, z, cb in pairs if cb is not one and (ca is not one or z))
+    assert expected < len(pairs)
     calls = []
     original = Cyclotomic.__mul__
 
@@ -213,8 +225,61 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
         return original(x, y)
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counting)
-    L.lmul(a, b)
-    assert len(calls) == len(a.terms) * len(b.terms)
+    product = L.lmul(a, b)
+    assert len(calls) == expected
+    monkeypatch.undo()
+    assert product == reference_crossed_mul(L, a, b)
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+def test_right_group_step_shifts_its_coefficient_once_per_exponent(specialised, monkeypatch):
+    # c, fixed for the call and not the ring's one, is shifted once for each
+    # nonzero twist exponent its terms meet, at most ell - 1 times; no term's
+    # own coefficient is shifted
+    n, ell = 5, 4
+    L = LaurentAlgebra(n, ell, t_values(n, ell, specialised))
+    terms = L._theta_monomial((2, 1, 1, 0, 1)).terms
+    g = GroupElem(n, ell, (1, 2, 3, 1))
+    c = L.ring.t(2).scale(zeta_power(ell, 1) - 2)
+    moved = [k for (_, k) in terms if k is not L.identity_g]
+    exponents = {alpha_exp(k, g) % ell for k in moved} - {0}
+    assert len(moved) > ell and exponents
+    shifted = []
+    original = type(c).times_zeta
+
+    def counting(x, k):
+        shifted.append(x)
+        return original(x, k)
+
+    monkeypatch.setattr(type(c), "times_zeta", counting)
+    out: dict = {}
+    L._accumulate_times(out, terms.items(), c, g)
+    monkeypatch.undo()
+    assert all(x is c for x in shifted)
+    assert len(shifted) == len(exponents) <= ell
+    left = L.elem_type(L, terms)
+    assert L.elem_type(L, out) == reference_crossed_mul(L, left, L.monomial((0,) * n, g, c))
+
+
+def test_products_and_draws_use_no_checked_group_constructor(monkeypatch):
+    # the rewriting reads g_r from the algebra's generators and the random
+    # elements are made unchecked, so once the algebras exist no product,
+    # power of w or draw passes the validating GroupElem constructor
+    H, L = HeckeAlgebra(4, 3), LaurentAlgebra(4, 3)
+    rng = random.Random("unchecked")
+    built = []
+    original = GroupElem.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(GroupElem, "__init__", counting)
+    for _ in range(10):
+        a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
+        assert L.theta(H.mul(a, b)) == L.lmul(L.theta(a), L.theta(b))
+    H.w_power(H.ell)
+    assert built == []
 
 
 GOLDEN_PRODUCTS_SHA256 = "a349352a9ed06462b28d9b5f918bc36344c2c9568a6754bf26d0403ec2586ac7"

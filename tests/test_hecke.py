@@ -430,3 +430,17 @@ def test_power_sum_rhs_matches_the_signed_tau_power(n, ell, specialised):
         coeff = -coeff
     expected = L.monomial((ell,) * n) + L.monomial((-ell,) * n, None, coeff)
     assert L._power_sum_rhs() == expected
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n, ell", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_w_power_with_w_on_the_left_matches_the_right_multiplied_powers(n, ell, specialised):
+    # w_power builds w^k as w * w^(k-1); the powers built the other way,
+    # w^(k-1) * w, on an algebra of their own (no shared caches), agree
+    H, old = reference_algebra(n, ell, specialised), reference_algebra(n, ell, specialised)
+    w = old.build_w()
+    power = old.one()
+    for k in range(ell + 1):
+        assert H.w_power(k) == power
+        assert H.w_power(k).render() == power.render()
+        power = old.mul(power, w)

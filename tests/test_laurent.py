@@ -270,3 +270,12 @@ def test_render_golden_theta_w():
     assert L.theta(H.build_w()).render() == (
         "y1*y2*y3*y4 + (1/9)*zeta*t1*t2*t3*t4*y1^-1*y2^-1*y3^-1*y4^-1"
     )
+
+
+def test_symbolic_theta_images_keep_the_ring_one_on_their_leading_term():
+    # no product is formed by the ring's one, so the coefficient-1 term y^p of
+    # theta(x^p) is the object one itself, which theta then skips multiplying
+    L = LaurentAlgebra(4, 3)
+    one = L.ring.one()
+    for p in exponents_bounded(4, 4):
+        assert L._theta_monomial(p).terms[(p, L.identity_g)] is one
