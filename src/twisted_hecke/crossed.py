@@ -8,8 +8,9 @@ m_i commute, products follow the crossed-product law
 
     (m^p g)(m^q h) = char(g, q) alpha(g, h) m^(p+q) (gh),
 
-which is the whole multiplication of the Laurent algebra and the
-associated graded multiplication of the Hecke algebra.  The twist
+which is the whole multiplication of the Laurent algebra, the associated
+graded multiplication of the Hecke algebra and, with p = 0, its left group
+step g (x^q h), which the deformation leaves alone.  The twist
 char(g, q) alpha(g, h) is zeta^z, with z evaluated from the exponent
 vector of g (``group.twist_exp``) and applied to the coefficient as a
 shift (``times_zeta``), not a product.  This module holds that law, the
@@ -114,13 +115,13 @@ class CrossedElem(SparseSum):
 
 
 def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> CrossedElem:
-    """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly; the
-    exponent z of the root of unity comes from ``twist_exp``.  A left
-    coefficient is shifted to ca zeta^z once for each z it meets, at most
-    ell shifts per left term, and that shift multiplies cb.  No product is
-    formed when either factor is the ring's one object, so a product of
-    terms with coefficient one keeps that object (the leading term y^p of
-    every theta image, say)."""
+    """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly, with
+    zeta's exponent z from ``twist_exp``; H's left group step g (x^q h) is
+    the case p = 0.  A left coefficient is shifted to ca zeta^z once for
+    each z it meets, at most ell shifts per left term, and that shift
+    multiplies cb.  No product is formed when either factor is the ring's
+    one object, so a product of terms with coefficient one keeps that
+    object (the leading term y^p of every theta image, say)."""
     a._check(b)
     one = alg.ring.one()
     out: dict = {}

@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import partial
 
 from .cyclotomic import Cyclotomic, zeta_power
-from .group import GroupElem
 
 __all__ = [
     "ParseError",
@@ -259,7 +258,7 @@ def _eval_sym(alg, sym: Sym, exp: int):
     if kind == "t":
         return alg.scalar(alg.ring.t(i) ** exp)
     if kind == "g":
-        return alg.monomial(alg._zero_p, GroupElem.generator(n, alg.ell, i) ** exp)
+        return alg.monomial(alg._zero_p, alg._gens_g[i - 1] ** exp)
     return alg._gen_power(i, exp)
 
 

@@ -263,9 +263,9 @@ def twist_exp(g: GroupElem, q, h: GroupElem) -> int:
     """Exponent of zeta in char(g, q) alpha(g, h), reduced to 0..ell-1: the
     twist of the term pair (m^p g)(m^q h), evaluated as
     sum_k e_k (q_k - q_(k+1)) - sum_k e_k f_(k+1) from g = g^e and h = g^f.
-    Both crossed-product kernels and the right group step that ends the PBW
-    product, its normal-ordering and theta take it from here; g and h must
-    lie in the same group."""
+    Read by ``crossed_mul`` (products in L and gr H, H's left group step),
+    by ``_accumulate_times`` (the right group step that ends every product)
+    and by ``check_twist_rows``; g and h must lie in the same group."""
     e = g.e
     return (sum(map(mul, e, map(sub, q, q[1:]))) - sum(map(mul, e, h.e[1:]))) % g.ell
 

@@ -25,8 +25,9 @@ the degree by two, so the rewriting terminates; associativity and agreement
 with the Laurent-side embedding are checked by the test suite, which makes
 the rewriting confluent on everything we compute.
 
-Element arithmetic, the algebra plumbing and the associated graded product
-``gr_mul`` come from ``crossed``; this module adds the rewriting, w and F.
+Element arithmetic, the algebra plumbing, the twist of each term pair
+(``crossed_mul``) and the associated graded product ``gr_mul`` come from
+``crossed``; this module adds the rewriting, w and F.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import prod
 from .chebyshev import nu
 from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
-from .group import GroupElem, twist_exp
+from .group import GroupElem
 
 __all__ = ["HeckeElem", "HeckeAlgebra", "enumerate_J"]
 
@@ -206,17 +207,16 @@ class HeckeAlgebra(CrossedAlgebra):
         return cur
 
     def mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        """Product in H in canonical PBW form: each term pair is twisted as in
-        the crossed product, normal-ordered at g = 1 and multiplied by gh."""
+        """Product in H in canonical PBW form.  Only the [x_i, x_j] are
+        deformed, so g (x^q h) = char(g, q) alpha(g, h) x^q (gh) in H and
+        (x^p g) b = x^p (g b), with g b from ``crossed_mul`` on x^0 g; each
+        term c x^q k of g b adds x^p x^q in normal form times c k."""
         a._check(b)
         out: dict = {}
         for (p, g), ca in a.terms.items():
-            for (q, h), cb in b.terms.items():
-                base = ca * cb
-                z = twist_exp(g, q, h)
-                if z:
-                    base = base.times_zeta(z)
-                self._accumulate_times(out, self._normal_product(p, q).items(), base, g * h)
+            gb = crossed_mul(self, HeckeElem._new(self, {(self._zero_p, g): ca}), b)
+            for (q, k), c in gb.terms.items():
+                self._accumulate_times(out, self._normal_product(p, q).items(), c, k)
         return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the

@@ -23,6 +23,10 @@ def test_base_cases():
     assert chebyshev_T(2) == IntPoly({(2, 0): F(2), (0, 0): F(-1)})
 
 
+def test_render():
+    assert chebyshev_T(3).render() == "4*xi^3 - 3*xi"
+
+
 def test_recursion_holds():
     two_xi = IntPoly({(1, 0): F(2)})
     for m in range(2, 20):

@@ -8,7 +8,7 @@ import pytest
 
 from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
-from twisted_hecke.exprs import eval_scalar
+from twisted_hecke.exprs import eval_hecke, eval_laurent, eval_scalar
 from twisted_hecke.group import GroupElem, action_char_exp, alpha, alpha_exp
 from twisted_hecke.hecke import HeckeAlgebra, HeckeElem
 from twisted_hecke.laurent import LaurentAlgebra
@@ -232,6 +232,24 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("specialised", [False, True])
+def test_hecke_product_forms_no_coefficient_product_by_one(specialised, monkeypatch):
+    # H takes its pair twist from the crossed product, so a pair that needs
+    # no rewriting costs no coefficient product when its factors carry the
+    # ring's one: untwisted (x1 x2), a twist on the left (g2 x2) and a group
+    # factor on the right (x1 g1)
+    H = HeckeAlgebra(3, 3, t_values(3, 3, specialised))
+    x1, x2, g1, g2 = H.gen_x(1), H.gen_x(2), H.gen_g(1), H.gen_g(2)
+    calls = []
+    for cls in {Cyclotomic, type(H.ring.one())}:
+        original = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda x, y, f=original: calls.append(1) or f(x, y))
+    products = [H.mul(x1, x2), H.mul(g2, x2), H.mul(x1, g1)]
+    assert calls == []
+    monkeypatch.undo()
+    assert [p.render() for p in products] == ["x1*x2", "zeta*x2*g2", "x1*g1"]
+
+
+@pytest.mark.parametrize("specialised", [False, True])
 def test_right_group_step_shifts_its_coefficient_once_per_exponent(specialised, monkeypatch):
     # c, fixed for the call and not the ring's one, is shifted once for each
     # nonzero twist exponent its terms meet, at most ell - 1 times; no term's
@@ -262,9 +280,10 @@ def test_right_group_step_shifts_its_coefficient_once_per_exponent(specialised, 
 
 
 def test_products_and_draws_use_no_checked_group_constructor(monkeypatch):
-    # the rewriting reads g_r from the algebra's generators and the random
-    # elements are made unchecked, so once the algebras exist no product,
-    # power of w or draw passes the validating GroupElem constructor
+    # the rewriting and the parser read g_r from the algebra's generators and
+    # the random elements are made unchecked, so once the algebras exist no
+    # product, power of w, draw or evaluated text passes the validating
+    # GroupElem constructor
     H, L = HeckeAlgebra(4, 3), LaurentAlgebra(4, 3)
     rng = random.Random("unchecked")
     built = []
@@ -278,6 +297,9 @@ def test_products_and_draws_use_no_checked_group_constructor(monkeypatch):
     for _ in range(10):
         a, b = random_hecke_elem(H, rng), random_hecke_elem(H, rng)
         assert L.theta(H.mul(a, b)) == L.lmul(L.theta(a), L.theta(b))
+        for x in (a, b):
+            assert eval_hecke(x.render(), H) == x
+            assert eval_laurent(L.theta(x).render(), L) == L.theta(x)
     H.w_power(H.ell)
     assert built == []
 

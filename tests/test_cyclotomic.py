@@ -387,3 +387,17 @@ def test_non_integer_power_and_order_are_rejected():
         zeta_power(3, 1) ** 1.5
     with pytest.raises(ValueError, match=r"^ell must be a positive integer, got 0$"):
         zeta_power(0, 1)
+
+
+def test_arithmetic_with_a_non_number_raises_type_error():
+    # +, -, reflected - and / decline what they cannot coerce, so Python
+    # raises its own TypeError
+    c = Cyclotomic(3, [1, 2])
+    for op in (
+        lambda: c + "a",
+        lambda: c - "a",
+        lambda: "a" - c,
+        lambda: c / "a",
+    ):
+        with pytest.raises(TypeError):
+            op()

@@ -57,6 +57,14 @@ def test_generator_monomials(H43):
         H43.gen_x(5)
 
 
+def test_group_generator_index_out_of_range():
+    H = HeckeAlgebra(3, 2)
+    with pytest.raises(ValueError, match=r"^generator index 0 out of range 1\.\.3$"):
+        H.gen_g(0)
+    with pytest.raises(ValueError, match=r"^generator index 4 out of range 1\.\.3$"):
+        H.gen_g(4)
+
+
 def test_adjacent_relation(H32):
     x1, x2 = H32.gen_x(1), H32.gen_x(2)
     assert H32.mul(x2, x1) == H32.mul(x1, x2) - t_times_g(H32, 1)
