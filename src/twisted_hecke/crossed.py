@@ -10,16 +10,21 @@ m_i commute, products follow the crossed-product law
 
 which is the whole multiplication of the Laurent algebra, the associated
 graded multiplication of the Hecke algebra and, with p = 0, its left group
-step g (x^q h), which the deformation leaves alone.  The twist
-char(g, q) alpha(g, h) is zeta^z, with z evaluated from the exponent
-vector of g (``group.twist_exp``) and applied to the coefficient as a
-shift (``times_zeta``), not a product.  This module holds that law, the
-element type (its sums and scalings from ``cyclotomic.SparseSum``) and the
-algebra plumbing; the subclasses add PBW rewriting (Hecke) and theta
-(Laurent).  Every product of either algebra ends in the law's right group
-step, the case q = 0: c m^r k times g is alpha(k, g) c m^r (kg).  The PBW
-product, its normal-ordering and theta all take it from
-``CrossedAlgebra._accumulate_times``.
+step g (x^q h), which the deformation leaves alone; the case q = 0 is the
+right group step, c m^r k times g = alpha(k, g) c m^r (kg), that ends every
+product of either algebra.  The twist char(g, q) alpha(g, h) is zeta^z,
+with z read from the exponent vector of g (``group.twist_exp``) and
+applied to a coefficient as a shift (``times_zeta``), not a product.
+
+One loop, ``CrossedAlgebra._accumulate_product``, applies the law in every
+product: to two sums in ``crossed_mul``, to one left term at x^0 in H's
+left group step and to one right term at m^0 in the right group step.  Its
+shortcuts (no twist at an identity, no exponent sum with the zero vector,
+no coefficient product by the ring's one) are ``is`` tests, which decide
+exactly for the interned identity element; an equal object that is not
+the one tested takes the general path to the same result.  The element
+type (sums and scalings from ``cyclotomic.SparseSum``) and the algebra
+plumbing are here too; the subclasses add PBW rewriting and theta.
 """
 
 from __future__ import annotations
@@ -115,25 +120,11 @@ class CrossedElem(SparseSum):
 
 
 def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> CrossedElem:
-    """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly, with
-    zeta's exponent z from ``twist_exp``; H's left group step g (x^q h) is
-    the case p = 0.  A left coefficient is shifted to ca zeta^z once for
-    each z it meets, at most ell shifts per left term, and that shift
-    multiplies cb.  No product is formed when either factor is the ring's
-    one object, so a product of terms with coefficient one keeps that
-    object (the leading term y^p of every theta image, say)."""
+    """(m^p g)(m^q h) = char(g,q) alpha(g,h) m^(p+q) (gh), bilinearly: the
+    product of L and of gr H, from ``CrossedAlgebra._accumulate_product``."""
     a._check(b)
-    one = alg.ring.one()
     out: dict = {}
-    for (p, g), ca in a.terms.items():
-        shifted = {0: ca}  # ca zeta^z by z, each shift made once
-        for (q, h), cb in b.terms.items():
-            z = twist_exp(g, q, h)
-            cz = shifted.get(z)
-            if cz is None:
-                cz = shifted[z] = ca.times_zeta(z)
-            v = cz if cb is one else cb if cz is one else cz * cb
-            accumulate(out, (tuple(map(add, p, q)), g * h), v)
+    alg._accumulate_product(out, a.terms.items(), b.terms.items())
     return alg.elem_type._new(alg, out)
 
 
@@ -171,7 +162,8 @@ class CrossedAlgebra:
         return self.monomial(self._zero_p, None, value)
 
     def monomial(self, p, g: GroupElem | None = None, coeff=None):
-        """coeff m^p g; the zero element when coeff is zero."""
+        """coeff m^p g; the zero element when coeff is zero.  g must be an
+        element of this algebra's group."""
         p = tuple(p)
         if len(p) != self.n:
             raise ValueError(f"exponents must have length {self.n}")
@@ -179,6 +171,10 @@ class CrossedAlgebra:
             raise ValueError(f"exponents must be integers, got {p}")
         if g is None:
             g = self.identity_g
+        elif not isinstance(g, GroupElem):
+            raise TypeError(f"group part must be a GroupElem, got {g!r}")
+        else:
+            self.identity_g._check(g)
         c = self.ring.one() if coeff is None else self.ring.coerce(coeff)
         if c is None:
             raise TypeError(f"cannot interpret {coeff!r} as a coefficient")
@@ -190,43 +186,45 @@ class CrossedAlgebra:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         return self.monomial(tuple(k if j == i - 1 else 0 for j in range(self.n)))
 
-    def _accumulate_times(self, out: dict, items, c, g: GroupElem) -> None:
-        """Add (sum of v m^r k) * c * g into the term map ``out``, where
-        ``items`` yields the ((r, k), v) pairs of the sum: the right group step
-        every product ends in.  By the law with q = 0, each term becomes
-        alpha(k, g) (c v) m^r (kg) = (c zeta^z) v m^r (kg), with z the
-        exponent of alpha(k, g).  c is fixed for the call, so it is shifted
-        once for each nonzero z it meets, at most ell - 1 shifts whatever the
-        number of terms; the map of shifts is made at the first term that
-        needs one, so the many short calls that need none pay nothing for it.
-        When c is the ring's one, v is shifted instead.  No coefficient
-        product is formed when v or c is the ring's one, no twist or group
-        product when g is the identity, and no twist when k is.  Every
-        identity element is the object ``identity_g``, wherever it was built
-        (g_1^ell, say), so both identity tests are ``is``."""
+    def _accumulate_product(self, out: dict, left, right) -> None:
+        """Add (sum of ca m^p g)(sum of cb m^q h) into the term map ``out``;
+        ``left`` and ``right`` yield ((exponents, group), coeff) pairs, and
+        each pair adds zeta^z ca cb m^(p+q) (gh), z from ``twist_exp``.
+
+        Right terms are the outer loop.  A pair's z and group part are 0 and
+        h when g is the identity, 0 and g when the right term is plain (h
+        the identity, q the zero vector), else the twist and gh.  Exponents
+        that are ``_zero_p`` are not added.  With z = 0 no coefficient
+        product is formed when a factor is the ring's one; with z != 0, ca
+        is shifted when cb is the one, and otherwise cb is, once per z for
+        each right term, and multiplies ca unless ca is the one.  These
+        ``is`` tests are shortcuts only: every identity element is the
+        object ``identity_g``, and a zero vector or a 1 that is another
+        object takes the general path, to the same result."""
         one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
-        moved = g is not ident
-        shifted = None  # c zeta^z by z != 0, each shift made once
-        for (r, k), v in items:
-            cz = c
-            if moved:
-                if k is ident:
-                    k = g
+        for (q, h), cb in right:
+            plain = h is ident and q is zero
+            shifted = None  # cb zeta^z by z != 0, each shift made once
+            for (p, g), ca in left:
+                if g is ident:
+                    z, k = 0, h
+                elif plain:
+                    z, k = 0, g
                 else:
-                    z = twist_exp(k, zero, g)
-                    k = k * g
-                    if c is one:
-                        # shifting v costs what shifting c would
-                        v = v.times_zeta(z)
-                    elif z:
-                        if shifted is None:
-                            shifted = {}
-                        cz = shifted.get(z)
-                        if cz is None:
-                            cz = shifted[z] = c.times_zeta(z)
-            if cz is not one:
-                v = cz if v is one else cz * v
-            accumulate(out, (r, k), v)
+                    z, k = twist_exp(g, q, h), g * h
+                r = p if q is zero else q if p is zero else tuple(map(add, p, q))
+                if not z:
+                    v = cb if ca is one else ca if cb is one else cb * ca
+                elif cb is one:
+                    v = ca.times_zeta(z)
+                else:
+                    if shifted is None:
+                        shifted = {}
+                    cz = shifted.get(z)
+                    if cz is None:
+                        cz = shifted[z] = cb.times_zeta(z)
+                    v = cz if ca is one else cz * ca
+                accumulate(out, (r, k), v)
 
     def gen_g(self, i: int):
         if not 1 <= i <= self.n:

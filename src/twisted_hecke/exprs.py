@@ -135,7 +135,12 @@ class _Parser:
         return ParseError(f"unexpected {found}", tok[2], expected)
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            # each level of nesting is a few calls deep; sums and products
+            # loop, so only nesting reaches the interpreter's limit
+            raise ParseError("expression nested too deeply", self.peek()[2]) from None
         if self.peek()[0] != "end":
             raise self._unexpected("'+', '-', '*', '^' or end")
         return node
@@ -231,13 +236,22 @@ def _eval(node, literal, symbol):
             raise EvalError("negative exponent on a compound expression")
         return value**node.exp
     if isinstance(node, BinOp):
-        lhs = _eval(node.lhs, literal, symbol)
-        rhs = _eval(node.rhs, literal, symbol)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        return lhs * rhs
+        # a + b + c and a * b * c parse as left-nested chains: walk the left
+        # spine in a loop, so the recursion does not grow with their length
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.lhs
+        value = _eval(node, literal, symbol)
+        for op in reversed(spine):
+            rhs = _eval(op.rhs, literal, symbol)
+            if op.op == "+":
+                value = value + rhs
+            elif op.op == "-":
+                value = value - rhs
+            else:
+                value = value * rhs
+        return value
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -8,7 +8,7 @@ on construction, so representations are unique.
 
 Each element of each group is one live object: every way of building an
 element returns the object already live for its exponents, so equality and
-hashing are those of the object, and the kernels test for the identity
+hashing are those of the object, and the product loop tests for the identity
 with ``is``.  The live elements of a group are held weakly, so an element
 is freed with its last reference and sweeping all |G| elements keeps one
 at a time.  Besides its exponent vector, an element carries an integer
@@ -26,9 +26,9 @@ which a group element acts on a monomial with a given exponent vector.
 
 Both exponents are linear in the second argument, so each element g has a
 twist row: the linear map (q, h) -> action_char_exp(g, q) + alpha_exp(g, h),
-which ``twist_exp(g, q, h)`` evaluates mod ell straight from g's exponent
-vector.  The crossed-product kernels read the exponent of every term pair
-from it.  ``check_twist_rows`` checks the rows from the generators: their
+which ``twist_exp`` evaluates mod ell straight from g's exponent vector.
+The crossed product's one product loop reads the exponent of every term
+pair from it.  ``check_twist_rows`` checks the rows from the generators: their
 rows against the formulas, and every row against the sum of the generator
 rows it is built from, which makes the twist every product reads bilinear.
 """
@@ -263,8 +263,7 @@ def twist_exp(g: GroupElem, q, h: GroupElem) -> int:
     """Exponent of zeta in char(g, q) alpha(g, h), reduced to 0..ell-1: the
     twist of the term pair (m^p g)(m^q h), evaluated as
     sum_k e_k (q_k - q_(k+1)) - sum_k e_k f_(k+1) from g = g^e and h = g^f.
-    Read by ``crossed_mul`` (products in L and gr H, H's left group step),
-    by ``_accumulate_times`` (the right group step that ends every product)
+    Read by the one product loop, ``CrossedAlgebra._accumulate_product``,
     and by ``check_twist_rows``; g and h must lie in the same group."""
     e = g.e
     return (sum(map(mul, e, map(sub, q, q[1:]))) - sum(map(mul, e, h.e[1:]))) % g.ell

@@ -13,8 +13,7 @@ Multiplication normal-orders the concatenated word by moving each left
 factor x_i rightward to its slot.  The group factor of a PBW monomial sits
 at the right end, so x_i (x^q g) = (x_i x^q) g: the rewriting happens at
 g = 1, its caches are keyed by exponents alone, and the group factor is
-applied once, on the right, by the crossed product's right group step:
-c x^r k times g is alpha(k, g) c x^r (kg).
+applied once, on the right, by the crossed product's right group step.
 Passing a power x_j^m is free unless the pair is cyclically adjacent, in
 which case a correction term of total degree two lower is emitted: the
 relation contributes +-t g, the group element picks up an action character
@@ -25,9 +24,9 @@ the degree by two, so the rewriting terminates; associativity and agreement
 with the Laurent-side embedding are checked by the test suite, which makes
 the rewriting confluent on everything we compute.
 
-Element arithmetic, the algebra plumbing, the twist of each term pair
-(``crossed_mul``) and the associated graded product ``gr_mul`` come from
-``crossed``; this module adds the rewriting, w and F.
+Element arithmetic, the algebra plumbing and the product loop come from
+``crossed``: the twist of each term pair, both group steps and ``gr_mul``.
+This module adds only the rewriting, w and F.
 """
 
 from __future__ import annotations
@@ -201,22 +200,23 @@ class HeckeAlgebra(CrossedAlgebra):
             for _ in range(p[i - 1]):
                 nxt: dict = {}
                 for (qq, gg), c in cur.items():
-                    self._accumulate_times(nxt, self._insert(i, qq), c, gg)
+                    self._accumulate_product(nxt, self._insert(i, qq), (((self._zero_p, gg), c),))
                 cur = nxt
         self._product_cache[key] = cur
         return cur
 
     def mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        """Product in H in canonical PBW form.  Only the [x_i, x_j] are
-        deformed, so g (x^q h) = char(g, q) alpha(g, h) x^q (gh) in H and
-        (x^p g) b = x^p (g b), with g b from ``crossed_mul`` on x^0 g; each
-        term c x^q k of g b adds x^p x^q in normal form times c k."""
+        """Product in H in canonical PBW form: (x^p g) b = x^p (g b), where g b
+        is the crossed product, as only the [x_i, x_j] are deformed (the loop
+        on one left term ca x^0 g), and each term c x^q k of g b adds x^p x^q
+        in normal form times c x^0 k (the loop on one right term)."""
         a._check(b)
-        out: dict = {}
+        step, zero, out = self._accumulate_product, self._zero_p, {}
         for (p, g), ca in a.terms.items():
-            gb = crossed_mul(self, HeckeElem._new(self, {(self._zero_p, g): ca}), b)
-            for (q, k), c in gb.terms.items():
-                self._accumulate_times(out, self._normal_product(p, q).items(), c, k)
+            gb: dict = {}
+            step(gb, (((zero, g), ca),), b.terms.items())
+            for (q, k), c in gb.items():
+                step(out, self._normal_product(p, q).items(), (((zero, k), c),))
         return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the

@@ -101,7 +101,8 @@ class LaurentAlgebra(CrossedAlgebra):
             raise ValueError("Hecke element from an incompatible configuration")
         total: dict = {}
         for (p, g), c in a.terms.items():
-            self._accumulate_times(total, self._theta_monomial(p).terms.items(), c, g)
+            img = self._theta_monomial(p).terms.items()
+            self._accumulate_product(total, img, (((self._zero_p, g), c),))
         return LaurentElem._new(self, total)
 
     # -- closed forms and identities ---------------------------------------

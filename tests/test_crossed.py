@@ -128,9 +128,10 @@ def test_insert_twists_by_the_cocycle_formula():
 @pytest.mark.parametrize("specialised", [False, True])
 @pytest.mark.parametrize("n,ell", [(3, 2), (4, 3), (5, 4)])
 def test_right_group_step_is_the_product_by_c_g(n, ell, specialised):
-    # _accumulate_times(out, items, c, g) adds (sum of v m^r k) * (c m^0 g)
-    # into out, as the reference crossed product computes it, whichever of
-    # its skips apply: c or v the ring's one, g or k the identity
+    # the right group step, _accumulate_product(out, items, (((0, g), c),)),
+    # adds (sum of v m^r k) * (c m^0 g) into out, as the reference crossed
+    # product computes it, whichever of its skips apply: c or v the ring's
+    # one, g or k the identity, the zero vector the algebra's own or another
     t = t_values(n, ell, specialised)
     H, L = HeckeAlgebra(n, ell, t), LaurentAlgebra(n, ell, t)
     rng = random.Random(f"right-step:{n}:{ell}:{specialised}")
@@ -152,9 +153,9 @@ def test_right_group_step_is_the_product_by_c_g(n, ell, specialised):
             t_j = alg.ring.t(rng.randint(1, n))
             coeffs = (alg.ring.one(), t_j.scale(zeta_power(ell, 1) - 2))
             left = alg.elem_type(alg, terms)
-            for c, g in itertools.product(coeffs, (alg.identity_g, h)):
+            for c, g, z in itertools.product(coeffs, (alg.identity_g, h), (alg._zero_p, zero)):
                 out = dict(start.terms)
-                alg._accumulate_times(out, terms.items(), c, g)
+                alg._accumulate_product(out, terms.items(), (((z, g), c),))
                 expected = start + reference_crossed_mul(alg, left, alg.monomial(zero, g, c))
                 assert alg.elem_type(alg, out) == expected
 
@@ -192,9 +193,10 @@ def test_rewriting_caches_hold_no_group_element():
 
 def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
     # with t specialised every coefficient is one term, so a term pair costs
-    # one Q(zeta) product, and none when a factor is the ring's one object:
-    # cb, or the shifted left coefficient ca zeta^z (one only when ca is and
-    # z = 0); zeta^k scaling adds none
+    # one Q(zeta) product, and none when ca or cb is the ring's one object:
+    # with z = 0 the other factor is taken as it is, and with z != 0 it is
+    # shifted by zeta^z (cb once per z for each right term); zeta^k scaling
+    # adds none
     n, ell = 4, 3
     L = LaurentAlgebra(n, ell, t_values(n, ell, True))
     one = L.ring.one()
@@ -214,8 +216,8 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
         for (q, h), cb in b.terms.items()
     ]
     assert any(z for _, z, _ in pairs)
-    assert any(ca is one and z for ca, z, _ in pairs)  # one shifted is not one
-    expected = sum(1 for ca, z, cb in pairs if cb is not one and (ca is not one or z))
+    assert any(ca is one and z for ca, z, _ in pairs)  # cb shifted, no product
+    expected = sum(1 for ca, _, cb in pairs if ca is not one and cb is not one)
     assert expected < len(pairs)
     calls = []
     original = Cyclotomic.__mul__
@@ -251,9 +253,9 @@ def test_hecke_product_forms_no_coefficient_product_by_one(specialised, monkeypa
 
 @pytest.mark.parametrize("specialised", [False, True])
 def test_right_group_step_shifts_its_coefficient_once_per_exponent(specialised, monkeypatch):
-    # c, fixed for the call and not the ring's one, is shifted once for each
-    # nonzero twist exponent its terms meet, at most ell - 1 times; no term's
-    # own coefficient is shifted
+    # the coefficient c of a one-term right factor c y^0 g, not the ring's
+    # one, is shifted once for each nonzero twist exponent the left terms
+    # meet, at most ell - 1 times; no left term's coefficient is shifted
     n, ell = 5, 4
     L = LaurentAlgebra(n, ell, t_values(n, ell, specialised))
     terms = L._theta_monomial((2, 1, 1, 0, 1)).terms
@@ -271,12 +273,48 @@ def test_right_group_step_shifts_its_coefficient_once_per_exponent(specialised, 
 
     monkeypatch.setattr(type(c), "times_zeta", counting)
     out: dict = {}
-    L._accumulate_times(out, terms.items(), c, g)
+    L._accumulate_product(out, terms.items(), (((L._zero_p, g), c),))
     monkeypatch.undo()
     assert all(x is c for x in shifted)
     assert len(shifted) == len(exponents) <= ell
     left = L.elem_type(L, terms)
     assert L.elem_type(L, out) == reference_crossed_mul(L, left, L.monomial((0,) * n, g, c))
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("algebra", [HeckeAlgebra, LaurentAlgebra])
+def test_one_loop_matches_the_reference_product(algebra, specialised):
+    # _accumulate_product(out, left, right) adds the product of two sums into
+    # a nonempty out, as the reference crossed product computes it, whichever
+    # shortcuts apply: one term on either side at the zero exponents (H's
+    # left group step, the right group step), the identity or the ring's one
+    # on either side, and a zero vector that is not the algebra's own object
+    n, ell = 4, 3
+    alg = algebra(n, ell, t_values(n, ell, specialised))
+    rng = random.Random(f"one-loop:{algebra.__name__}:{specialised}")
+    one, ident, zero = alg.ring.one(), alg.identity_g, alg._zero_p
+    other_zero = tuple(0 for _ in range(n))
+    assert other_zero == zero and other_zero is not zero
+
+    def draw():
+        if algebra is HeckeAlgebra:
+            return dict(random_hecke_elem(alg, rng).terms)
+        return dict(random_laurent_elem(alg, rng).terms)
+
+    for _ in range(3):
+        g = GroupElem(n, ell, tuple(rng.randrange(ell) for _ in range(n - 1)))
+        c = alg.ring.t(rng.randint(1, n)).scale(zeta_power(ell, 1) - 2)
+        mixed = draw()
+        # exponents that are not constant, as char(g, q) = 1 at every constant q
+        mixed.update({((1, 0, 2, 1), ident): one, ((2, 1, 0, 3), g): one, ((0, 3, 1, 2), ident): c})
+        single = [{(p, h): v} for p in (zero, other_zero) for h in (ident, g) for v in (one, c)]
+        for left, right in itertools.product([draw(), mixed] + single, repeat=2):
+            start = draw()
+            out = dict(start)
+            alg._accumulate_product(out, left.items(), right.items())
+            a, b = alg.elem_type(alg, left), alg.elem_type(alg, right)
+            expected = alg.elem_type(alg, start) + reference_crossed_mul(alg, a, b)
+            assert alg.elem_type(alg, out) == expected
 
 
 def test_products_and_draws_use_no_checked_group_constructor(monkeypatch):
@@ -345,3 +383,14 @@ def test_a_coefficient_that_is_no_scalar_raises(algebra, specialised):
             bad * elem
     assert alg.monomial((1, 0, 0), None, 0).is_zero()
     assert alg.monomial((1, 0, 0), None, 2) == alg.monomial((1, 0, 0)).scale(2)
+
+
+@pytest.mark.parametrize("algebra", [HeckeAlgebra, LaurentAlgebra])
+def test_a_group_part_from_another_group_raises(algebra):
+    alg = algebra(3, 2)
+    for other in (GroupElem(3, 3, (1, 0)), GroupElem(4, 2, (1, 0, 0))):
+        with pytest.raises(ValueError, match="different groups"):
+            alg.monomial((0, 0, 0), other)
+    with pytest.raises(TypeError, match="^group part must be a GroupElem"):
+        alg.monomial((0, 0, 0), (1, 0))
+    assert alg.monomial((0, 0, 0), GroupElem(3, 2, (1, 0))) == alg.gen_g(1)

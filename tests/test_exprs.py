@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.exprs import (
     BinOp,
@@ -152,6 +153,28 @@ def test_roundtrip_random_elements():
             text = img.render()
             assert eval_laurent(text, L) == img
             assert eval_laurent(text, L).render() == text
+
+
+def test_long_sums_and_products_evaluate():
+    # a + b + c ... and a * b * c ... parse as left-nested chains, which the
+    # evaluator walks in a loop, so their length sets no recursion depth: a
+    # rendering of 1,140 terms reads back as its element, and 2,000 summands
+    # and 2,000 factors evaluate
+    H = HeckeAlgebra(3, 2)
+    one = H.ring.one()
+    elem = H.elem_type(H, {(p, H.identity_g): one for p in exponents_bounded(3, 17)})
+    assert len(elem.terms) == 1140
+    assert eval_hecke(elem.render(), H) == elem
+    assert eval_scalar("+".join(["1"] * 2000), 5) == Cyclotomic.from_rational(5, 2000)
+    assert eval_scalar("*".join(["zeta"] * 2000), 5) == zeta_power(5, 2000)
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 300 + "1" + ")" * 300, "-" * 2000 + "1"], ids=["parentheses", "signs"]
+)
+def test_nesting_too_deep_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=r"^expression nested too deeply at position \d+$"):
+        parse(text)
 
 
 def test_atoms_cost_no_algebra_product(monkeypatch):
