@@ -16,12 +16,15 @@ checked at that specialization.  An identity that holds symbolically holds
 for every complex specialization, so the symbolic mode is the strongest form
 of verification available here.
 
-A specialized ring is Q(zeta) itself: every constructor, ``t(i)`` included,
-hands out a bare Cyclotomic, with no ParamPoly around it.  Both types serve
-the algebras through one coefficient protocol (+, -, *, ``scale``,
-``times_zeta``, ``is_zero``/bool, ==, hash and ``factor_terms``), and a
-constant renders the same either way, so the ring is the only place that
-knows whether t is specialized.
+ParamPoly is the type of the ring's scalars (t_i, tau_i, tau~_i, beta and
+the coefficients of the center relation) and of the coefficient view
+``CrossedElem.monomial_terms``, not of what an algebra element stores: an
+element keeps the t-exponent of each term in its key beside m^p and g, so
+every stored coefficient is a bare Cyclotomic.  ``split`` turns a ring
+scalar into those (t-exponent, Cyclotomic) pairs and ``join`` gathers them
+back.  A specialized ring is Q(zeta) itself: every constructor, ``t(i)``
+included, hands out a bare Cyclotomic, its t-exponent is the empty tuple,
+and the ring is the only place that knows whether t is specialized.
 """
 
 from __future__ import annotations
@@ -150,20 +153,25 @@ class ParamRing:
 
     ``t_values`` is either None (symbolic parameters, ParamPoly values) or a
     sequence of n Cyclotomic scalars substituted for the t_i at construction
-    time (Cyclotomic values).
+    time (Cyclotomic values).  ``t_zero`` is the t-exponent of a constant,
+    (0, ..., 0) or () when t is specialized, and ``unit`` the Cyclotomic 1
+    that the ring's one holds: the shortcuts of the product loop test both
+    with ``is``.
     """
 
-    __slots__ = ("n", "ell", "t_values", "_one", "_zero", "_zeta")
+    __slots__ = ("n", "ell", "t_values", "t_zero", "unit", "_one", "_zero", "_zeta")
 
     def __init__(self, n: int, ell: int, t_values=None):
         check_bounds(n, ell)
         self.n = n
         self.ell = ell
-        one = Cyclotomic.one(ell)
+        self.unit = one = Cyclotomic.one(ell)
         if t_values is None:
+            self.t_zero = (0,) * n
             self._zero = ParamPoly(n, ell, {})
-            self._one = self._zero.one()
+            self._one = self._zero._like({self.t_zero: one})
         else:
+            self.t_zero = ()
             t_values = tuple(t_values)
             if len(t_values) != n:
                 raise ValueError(f"expected {n} parameter values, got {len(t_values)}")
@@ -207,6 +215,28 @@ class ParamRing:
             return self.from_rational(value)
         return None
 
+    def split(self, value) -> tuple:
+        """``value`` as the (t-exponent, Cyclotomic) pairs an element stores
+        it as: one per t-monomial, none for zero, with the constant's
+        exponent the object ``t_zero``.  TypeError when it is no scalar."""
+        if type(value) is Cyclotomic and value.ell == self.ell:
+            c = value  # a constant, whether t is specialized or not
+        else:
+            c = self.coerce(value)
+            if c is None:
+                raise TypeError(f"cannot interpret {value!r} as a coefficient")
+        tz = self.t_zero
+        if type(c) is Cyclotomic:
+            return ((tz, c),) if c else ()
+        return tuple([(e if any(e) else tz, v) for e, v in c.terms.items()])
+
+    def join(self, terms: dict) -> ParamPoly | Cyclotomic:
+        """The scalar sum of c t^e over {e: c} (no c zero), the inverse of
+        ``split``; a ParamPoly holds the map as it is."""
+        if self.t_values is not None:
+            return terms.get(self.t_zero, self._zero)
+        return self._zero._like(terms)
+
     def t(self, i: int) -> ParamPoly | Cyclotomic:
         """The i-th deformation parameter (1-based), or its specialization."""
         if not 1 <= i <= self.n:
@@ -214,7 +244,7 @@ class ParamRing:
         if self.t_values is not None:
             return self.t_values[i - 1]
         e = tuple(1 if j == i - 1 else 0 for j in range(self.n))
-        return ParamPoly(self.n, self.ell, {e: Cyclotomic.one(self.ell)})
+        return self._zero._like({e: self.unit})
 
     def tau(self, i: int) -> ParamPoly | Cyclotomic:
         """t_i/(zeta - 1) for i < n and zeta*t_n/(zeta - 1) for i = n."""

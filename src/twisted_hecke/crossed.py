@@ -1,10 +1,16 @@
 """The alpha-twisted crossed product of a monomial ring with G, the part
 shared by the Hecke algebra and its Laurent oracle.
 
-Both algebras store elements as finite sums of monomials m^p g with
-coefficients in Q(zeta)[t_1..t_n], or in Q(zeta) when t is specialized,
-where m^p is x^p (Hecke, p >= 0) or y^p (Laurent, p in Z^n).  When the
-m_i commute, products follow the crossed-product law
+Both algebras store elements as finite sums of terms c t^tau m^p g: c is a
+Cyclotomic scalar, t^tau a monomial in the deformation parameters t_i
+(tau = () when t is specialized, and then c carries t's values) and m^p is
+x^p (Hecke, p >= 0) or y^p (Laurent, p in Z^n).  The key of a term is
+(p, g, tau), so a (p, g) whose coefficient in Q(zeta)[t] has several
+t-monomials has one key for each; ``monomial_terms`` gathers them back into
+ParamRing scalars, the ring's ParamPoly when t is symbolic.  This is a
+change of basis over Q(zeta): t is central, so every product multiplies
+the Q(zeta) scalars and adds the t-exponents.  When the m_i commute,
+products follow the crossed-product law
 
     (m^p g)(m^q h) = char(g, q) alpha(g, h) m^(p+q) (gh),
 
@@ -18,13 +24,13 @@ applied to a coefficient as a shift (``times_zeta``), not a product.
 
 One loop, ``CrossedAlgebra._accumulate_product``, applies the law in every
 product: to two sums in ``crossed_mul``, to one left term at x^0 in H's
-left group step and to one right term at m^0 in the right group step.  Its
-shortcuts (no twist at an identity, no exponent sum with the zero vector,
-no coefficient product by the ring's one) are ``is`` tests, which decide
-exactly for the interned identity element; an equal object that is not
-the one tested takes the general path to the same result.  The element
-type (sums and scalings from ``cyclotomic.SparseSum``) and the algebra
-plumbing are here too; the subclasses add PBW rewriting and theta.
+left group step, to one right term at m^0 in the right group step and to
+one scalar term in ``scale``.  Its shortcuts (no twist at an identity, no
+exponent sum with a zero vector, no coefficient product by the ring's one)
+are ``is`` tests, which decide exactly for the interned identity element;
+an equal object that is not the one tested takes the general path to the
+same result.  The element type (sums from ``cyclotomic.SparseSum``) and the
+algebra plumbing are here too; the subclasses add PBW rewriting and theta.
 """
 
 from __future__ import annotations
@@ -52,13 +58,13 @@ def exponents_bounded(n: int, total: int):
 
 
 class CrossedElem(SparseSum):
-    """A finite sum of monomials (a ``SparseSum``) with coefficients from the
-    algebra's ParamRing: ParamPoly for symbolic t, Cyclotomic for
-    specialized t.  Each term is keyed by an (exponents, group) pair (p, g)
-    standing for m_1^(p_1) ... m_n^(p_n) g, with the factors in exactly that
-    order and integer exponents that may be negative on the Laurent side.
-    Elements of different algebra types never mix: arithmetic between them
-    is a TypeError."""
+    """A finite sum of terms c t^tau m^p g (a ``SparseSum``) with c a
+    Cyclotomic, keyed by the triple (p, g, tau): p the exponents of
+    m_1^(p_1) ... m_n^(p_n), with the factors in exactly that order and
+    integers that may be negative on the Laurent side, g the group element
+    and tau the t-exponent, () when t is specialized.  Elements of
+    different algebra types never mix: arithmetic between them is a
+    TypeError."""
 
     __slots__ = ("alg",)
     _mixed = "elements from incompatible algebras"
@@ -87,11 +93,29 @@ class CrossedElem(SparseSum):
     def one(self):
         return self.alg.one()
 
+    def scale(self, value):
+        """Multiply by a ring scalar: the product with the scalar's terms
+        c t^tau m^0 1, which are central."""
+        alg, out = self.alg, {}
+        scalar = [((alg._zero_p, alg.identity_g, tau), c) for tau, c in alg.ring.split(value)]
+        alg._accumulate_product(out, self.terms.items(), scalar)
+        return self._like(out)
+
+    def monomial_terms(self) -> dict:
+        """{(exponents, group): coefficient} with the t-monomials of each
+        (p, g) gathered into one ring scalar: a ParamPoly when t is
+        symbolic, a Cyclotomic when it is specialized."""
+        grouped: dict = {}
+        for (p, g, tau), c in self.terms.items():
+            grouped.setdefault((p, g), {})[tau] = c
+        join = self.alg.ring.join
+        return {m: join(ts) for m, ts in grouped.items()}
+
     def total_degree(self) -> int:
         """Filtration degree; -1 for the zero element."""
         if not self.terms:
             return -1
-        return max(sum(p) for p, _ in self.terms)
+        return max(sum(m[0]) for m in self.terms)
 
     def __mul__(self, other):
         if type(other) is type(self):
@@ -99,9 +123,13 @@ class CrossedElem(SparseSum):
         return self.__rmul__(other)
 
     def sorted_terms(self):
-        # ties of exponents broken by the group element
+        # by the monomial, ties broken by the group element and then by the
+        # t-monomial in ParamPoly's order
         return sorted(
-            self.terms.items(), key=lambda item: (graded_lex_key(item[0][0]), item[0][1].e)
+            self.terms.items(),
+            key=lambda item: (
+                graded_lex_key(item[0][0]), item[0][1].e, graded_lex_key(item[0][2])
+            ),
         )
 
     def render(self) -> str:
@@ -109,10 +137,10 @@ class CrossedElem(SparseSum):
         monomial generators named by the algebra (``alg.var``)."""
         terms = []
         var = self.alg.var
-        for (p, g), coeff in self.sorted_terms():
-            tail = indexed_powers(var, p) + g.factors()
-            for rat, factors in coeff.factor_terms():
-                terms.append((rat, factors + tail))
+        for (p, g, tau), coeff in self.sorted_terms():
+            tail = indexed_powers("t", tau) + indexed_powers(var, p) + g.factors()
+            for rat, zeta in coeff.factor_terms():
+                terms.append((rat, zeta + tail))
         return render_terms(terms)
 
     def __repr__(self) -> str:
@@ -175,10 +203,9 @@ class CrossedAlgebra:
             raise TypeError(f"group part must be a GroupElem, got {g!r}")
         else:
             self.identity_g._check(g)
-        c = self.ring.one() if coeff is None else self.ring.coerce(coeff)
-        if c is None:
-            raise TypeError(f"cannot interpret {coeff!r} as a coefficient")
-        return self.elem_type(self, {(p, g): c})
+        ring = self.ring
+        pairs = ((ring.t_zero, ring.unit),) if coeff is None else ring.split(coeff)
+        return self.elem_type._new(self, {(p, g, tau): c for tau, c in pairs})
 
     def _gen_power(self, i: int, k: int):
         """The monomial m_i^k."""
@@ -187,25 +214,35 @@ class CrossedAlgebra:
         return self.monomial(tuple(k if j == i - 1 else 0 for j in range(self.n)))
 
     def _accumulate_product(self, out: dict, left, right) -> None:
-        """Add (sum of ca m^p g)(sum of cb m^q h) into the term map ``out``;
-        ``left`` and ``right`` yield ((exponents, group), coeff) pairs, and
-        each pair adds zeta^z ca cb m^(p+q) (gh), z from ``twist_exp``.
+        """Add (sum of ca t^sigma m^p g)(sum of cb t^tau m^q h) into the term
+        map ``out``; ``left`` and ``right`` are sized collections of
+        ((exponents, group, t-exponent), coeff) pairs, and each pair adds
+        zeta^z ca cb t^(sigma+tau) m^(p+q) (gh), z from ``twist_exp``.
 
         Right terms are the outer loop.  A pair's z and group part are 0 and
         h when g is the identity, 0 and g when the right term is plain (h
         the identity, q the zero vector), else the twist and gh.  Exponents
-        that are ``_zero_p`` are not added.  With z = 0 no coefficient
-        product is formed when a factor is the ring's one; with z != 0, ca
-        is shifted when cb is the one, and otherwise cb is, once per z for
-        each right term, and multiplies ca unless ca is the one.  These
-        ``is`` tests are shortcuts only: every identity element is the
-        object ``identity_g``, and a zero vector or a 1 that is another
-        object takes the general path, to the same result."""
-        one, ident, zero = self.ring.one(), self.identity_g, self._zero_p
-        for (q, h), cb in right:
+        that are ``_zero_p`` are not added, nor t-exponents that are the
+        ring's ``t_zero`` (every t-exponent is, the empty tuple, when t is
+        specialized), and every coefficient product is one of Q(zeta).
+        With z = 0 no product is formed when a factor is the ring's
+        ``unit``.  With z != 0 one factor is shifted by zeta^z and
+        multiplies the other unless that is the unit: the left's when the
+        left has one term, shifted once per z for the whole call, else
+        each right term's, once per z for that term; a unit is not shifted
+        but the other factor is.  These ``is`` tests are shortcuts only:
+        every identity element is the object ``identity_g``, and a zero
+        vector or a 1 that is another object takes the general path, to
+        the same result."""
+        ring = self.ring
+        one, tz, ident, zero = ring.unit, ring.t_zero, self.identity_g, self._zero_p
+        lone = len(left) == 1
+        shifted: dict = {}  # the shifted factor zeta^z by z != 0
+        for (q, h, tau), cb in right:
             plain = h is ident and q is zero
-            shifted = None  # cb zeta^z by z != 0, each shift made once
-            for (p, g), ca in left:
+            if shifted and not lone:
+                shifted = {}
+            for (p, g, sigma), ca in left:
                 if g is ident:
                     z, k = 0, h
                 elif plain:
@@ -213,18 +250,22 @@ class CrossedAlgebra:
                 else:
                     z, k = twist_exp(g, q, h), g * h
                 r = p if q is zero else q if p is zero else tuple(map(add, p, q))
+                s = sigma if tau is tz else tau if sigma is tz else tuple(map(add, sigma, tau))
                 if not z:
                     v = cb if ca is one else ca if cb is one else cb * ca
-                elif cb is one:
-                    v = ca.times_zeta(z)
                 else:
-                    if shifted is None:
-                        shifted = {}
-                    cz = shifted.get(z)
-                    if cz is None:
-                        cz = shifted[z] = cb.times_zeta(z)
-                    v = cz if ca is one else cz * ca
-                accumulate(out, (r, k), v)
+                    if lone:
+                        f, m = ca, cb
+                    else:
+                        f, m = cb, ca
+                    if f is one:
+                        v = m.times_zeta(z)
+                    else:
+                        fz = shifted.get(z)
+                        if fz is None:
+                            fz = shifted[z] = f.times_zeta(z)
+                        v = fz if m is one else fz * m
+                accumulate(out, (r, k, s), v)
 
     def gen_g(self, i: int):
         if not 1 <= i <= self.n:

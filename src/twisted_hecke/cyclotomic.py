@@ -210,7 +210,7 @@ class Cyclotomic:
 
     def scale(self, c) -> "Cyclotomic":
         """Multiply by a scalar from Q(zeta), as ``ParamPoly.scale`` does, so
-        either serves as a coefficient."""
+        either serves as a ring scalar."""
         return self * c
 
     def times_zeta(self, k: int) -> "Cyclotomic":

@@ -16,7 +16,9 @@ is never multiplication):
 negative exponents are accepted only directly on y_i and g_i atoms (the
 Hecke algebra has no x-inverses, and t, zeta carry nonnegative powers in
 canonical renderings).  Syntax errors report the offset and what was
-expected.
+expected.  At most ``MAX_NESTING`` parentheses and unary minus signs may
+be open at once, a bound the parser counts itself, so a too-deep input is
+the same error at the same position whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import partial
 from .cyclotomic import Cyclotomic, zeta_power
 
 __all__ = [
+    "MAX_NESTING",
     "ParseError",
     "EvalError",
     "parse",
@@ -92,6 +95,12 @@ _TOKEN = re.compile(
 )
 _NAME = re.compile(r"^(zeta|[xygt]\d+)$")
 
+# open "(" and unary "-" at once: each level costs the parser at most six
+# frames and the evaluator at most one, so an input at the bound parses and
+# evaluates well inside the interpreter's default recursion limit of 1000;
+# canonical renderings open at most two
+MAX_NESTING = 64
+
 
 def _tokenize(text: str):
     tokens = []
@@ -119,6 +128,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open "(" and unary "-"
 
     def peek(self):
         return self.tokens[self.i]
@@ -134,13 +144,21 @@ class _Parser:
         found = "end of input" if tok[0] == "end" else f"token {str(tok[1])!r}"
         return ParseError(f"unexpected {found}", tok[2], expected)
 
+    def nested(self, parse_inner):
+        """Consume the opening token, ``(`` or unary ``-``, and return
+        parse_inner() one level deeper; a ParseError at that token when it
+        would open more than MAX_NESTING levels.  Sums and products loop,
+        so only these two nest."""
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek()[2])
+        self.advance()
+        self.depth += 1
+        node = parse_inner()
+        self.depth -= 1
+        return node
+
     def parse(self):
-        try:
-            node = self.expr()
-        except RecursionError:
-            # each level of nesting is a few calls deep; sums and products
-            # loop, so only nesting reaches the interpreter's limit
-            raise ParseError("expression nested too deeply", self.peek()[2]) from None
+        node = self.expr()
         if self.peek()[0] != "end":
             raise self._unexpected("'+', '-', '*', '^' or end")
         return node
@@ -161,8 +179,7 @@ class _Parser:
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor))
         return self.power()
 
     def power(self):
@@ -201,8 +218,7 @@ class _Parser:
                 return Sym("zeta", 0)
             return Sym(name[0], int(name[1:]))
         if tok[0] == "(":
-            self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek()[0] != ")":
                 raise self._unexpected("')'")
             self.advance()

@@ -7,7 +7,8 @@ The algebra H is generated by x_1, ..., x_n and the group G, subject to
 
 on top of the crossed-product law twisted by the cocycle alpha.  Elements
 are stored in PBW normal form: finite sums of monomials
-x_1^(p_1) ... x_n^(p_n) g with coefficients in Q(zeta)[t_1..t_n].
+x_1^(p_1) ... x_n^(p_n) g with coefficients in Q(zeta)[t_1..t_n], each
+held as its t-monomials with Q(zeta) scalars (``crossed``).
 
 Multiplication normal-orders the concatenated word by moving each left
 factor x_i rightward to its slot.  The group factor of a PBW monomial sits
@@ -16,9 +17,9 @@ g = 1, its caches are keyed by exponents alone, and the group factor is
 applied once, on the right, by the crossed product's right group step.
 Passing a power x_j^m is free unless the pair is cyclically adjacent, in
 which case a correction term of total degree two lower is emitted: the
-relation contributes +-t g, the group element picks up an action character
-while commuting to the right end, and a geometric sum in zeta accounts for
-the copies of x_j already passed.
+relation contributes +-t_r g_r (a term at t-exponent e_r), the group
+element picks up an action character while commuting to the right end, and
+a geometric sum in zeta accounts for the copies of x_j already passed.
 Each step either lowers the inversion count at constant degree or lowers
 the degree by two, so the rewriting terminates; associativity and agreement
 with the Laurent-side embedding are checked by the test suite, which makes
@@ -104,8 +105,7 @@ def relation_b_terms(ring) -> list:
 
 
 class HeckeElem(CrossedElem):
-    """A finite sum of PBW monomials with coefficients from the algebra's
-    ParamRing (``CrossedElem``)."""
+    """A finite sum of PBW monomials c t^tau x^p g (``CrossedElem``)."""
 
     __slots__ = ()
 
@@ -156,13 +156,16 @@ class HeckeAlgebra(CrossedAlgebra):
     # -- multiplication --------------------------------------------------
 
     def _insert(self, i: int, q: tuple):
-        """x_i * x^q in PBW form, as term-map items (((exponents, group), coeff), ...).
+        """x_i * x^q in PBW form, as term-map items
+        (((exponents, group, t-exponent), coeff), ...).
 
         The rewriting happens at g = 1, since x_i (x^q g) = (x_i x^q) g; the
         callers apply the group factor on the right.  The main term moves x_i
         to its slot.  Passing a cyclically adjacent block x_j^m consumes the
         pair by relation r as s t_r g_r, and g_r picks up the geometric factor
-        sum_(v<m) zeta^(s(q_i - v)) on its way past the copies of x_j and x_i.
+        sum_(v<m) zeta^(s(q_i - v)) on its way past the copies of x_j and x_i:
+        the term is that scalar at t-exponent e_r, or t_r's value times it
+        when t is specialized.
         """
         key = (i, q)
         hit = self._insert_cache.get(key)
@@ -171,36 +174,38 @@ class HeckeAlgebra(CrossedAlgebra):
         n, ell, ring = self.n, self.ell, self.ring
         main = list(q)
         main[i - 1] += 1
-        out = [((tuple(main), self.identity_g), ring.one())]
+        out = [((tuple(main), self.identity_g, ring.t_zero), ring.unit)]
         # (relation r, passed position, sign s): x_(i-1) before x_i, x_1 after x_n
         for r, j, s in [(i - 1, i - 2, -1)] * (i >= 2) + [(n, 0, 1)] * (i == n):
             terms = (zeta_power(ell, s * (q[i - 1] - v)) for v in range(q[j]))
             scal = sum(terms, Cyclotomic.zero(ell))
             if not scal:
                 continue
-            coeff = ring.t(r).scale(scal if s > 0 else -scal)
-            if coeff:  # a specialised t_r may be 0
-                lower = list(q)
-                lower[j] -= 1
-                out.append(((tuple(lower), self._gens_g[r - 1]), coeff))
+            lower = list(q)
+            lower[j] -= 1
+            lower, g_r = tuple(lower), self._gens_g[r - 1]
+            # no term when a specialised t_r is 0
+            for tau, c in ring.split(ring.t(r).scale(scal if s > 0 else -scal)):
+                out.append(((lower, g_r, tau), c))
         out = tuple(out)
         self._insert_cache[key] = out
         return out
 
     def _normal_product(self, p: tuple, q: tuple) -> dict:
-        """Normal form of x^p * x^q as {(exponents, group): coeff}: an
-        inserted term c x^r k landing on a word that ends in gg becomes
-        alpha(k, gg) c x^r (k gg)."""
+        """Normal form of x^p * x^q as {(exponents, group, t-exponent): coeff}:
+        an inserted term c t^tau x^r k landing on a word c' t^sigma x^qq gg
+        becomes alpha(k, gg) c c' t^(tau+sigma) x^r (k gg)."""
         key = (p, q)
         hit = self._product_cache.get(key)
         if hit is not None:
             return hit
-        cur = {(q, self.identity_g): self.ring.one()}
+        cur = {(q, self.identity_g, self.ring.t_zero): self.ring.unit}
         for i in range(self.n, 0, -1):
             for _ in range(p[i - 1]):
                 nxt: dict = {}
-                for (qq, gg), c in cur.items():
-                    self._accumulate_product(nxt, self._insert(i, qq), (((self._zero_p, gg), c),))
+                for (qq, gg, tau), c in cur.items():
+                    step = (((self._zero_p, gg, tau), c),)
+                    self._accumulate_product(nxt, self._insert(i, qq), step)
                 cur = nxt
         self._product_cache[key] = cur
         return cur
@@ -209,14 +214,15 @@ class HeckeAlgebra(CrossedAlgebra):
         """Product in H in canonical PBW form: (x^p g) b = x^p (g b), where g b
         is the crossed product, as only the [x_i, x_j] are deformed (the loop
         on one left term ca x^0 g), and each term c x^q k of g b adds x^p x^q
-        in normal form times c x^0 k (the loop on one right term)."""
+        in normal form times c x^0 k (the loop on one right term).  Each
+        term's t-exponent rides on the one-term side of each step."""
         a._check(b)
         step, zero, out = self._accumulate_product, self._zero_p, {}
-        for (p, g), ca in a.terms.items():
+        for (p, g, sigma), ca in a.terms.items():
             gb: dict = {}
-            step(gb, (((zero, g), ca),), b.terms.items())
-            for (q, k), c in gb.items():
-                step(out, self._normal_product(p, q).items(), (((zero, k), c),))
+            step(gb, (((zero, g, sigma), ca),), b.terms.items())
+            for (q, k, tau), c in gb.items():
+                step(out, self._normal_product(p, q).items(), (((zero, k, tau), c),))
         return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the
@@ -323,7 +329,7 @@ class HeckeAlgebra(CrossedAlgebra):
                 self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
             )
             lead = (tuple(self.ell * k + m for k in p), self.identity_g)
-            if lead in seen or product.terms.get(lead) is None:
+            if lead in seen or not any(key[:2] == lead for key in product.terms):
                 return False
             seen.add(lead)
         return True

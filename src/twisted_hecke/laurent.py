@@ -28,8 +28,7 @@ __all__ = ["LaurentElem", "LaurentAlgebra"]
 
 
 class LaurentElem(CrossedElem):
-    """A finite sum of Laurent monomials with coefficients from the
-    algebra's ParamRing (``CrossedElem``)."""
+    """A finite sum of Laurent monomials c t^tau y^p g (``CrossedElem``)."""
 
     __slots__ = ()
 
@@ -94,15 +93,16 @@ class LaurentAlgebra(CrossedAlgebra):
     def theta(self, a: HeckeElem) -> LaurentElem:
         """Image of a Hecke element: each PBW monomial x^p g maps to
         theta(x_1)^(p_1) ... theta(x_n)^(p_n) g, extended linearly: the cached
-        image of x^p times c y^0 g, the crossed product's right group step."""
+        image of x^p times c t^tau y^0 g, the crossed product's right group
+        step."""
         if not isinstance(a, HeckeElem):
             raise TypeError("theta expects a Hecke element")
         if not self.ring.same_parameters(a.alg.ring):
             raise ValueError("Hecke element from an incompatible configuration")
         total: dict = {}
-        for (p, g), c in a.terms.items():
+        for (p, g, tau), c in a.terms.items():
             img = self._theta_monomial(p).terms.items()
-            self._accumulate_product(total, img, (((self._zero_p, g), c),))
+            self._accumulate_product(total, img, (((self._zero_p, g, tau), c),))
         return LaurentElem._new(self, total)
 
     # -- closed forms and identities ---------------------------------------
@@ -165,10 +165,10 @@ class LaurentAlgebra(CrossedAlgebra):
         """
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        one = self.ring.one()
+        one = self.ring.unit
         for p in exponents_bounded(self.n, max_degree):
             d = sum(p)
-            lead = (p, self.identity_g)
+            lead = (p, self.identity_g, self.ring.t_zero)
             img = self._theta_monomial(p)
             if img.terms.get(lead) != one:
                 return False

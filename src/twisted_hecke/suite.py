@@ -110,7 +110,9 @@ def random_hecke_elem(
         )
         for _ in range(rng.randint(0, 2)):
             coeff = coeff * ring.t(rng.randint(1, n))
-        accumulate(terms, (tuple(p), g), coeff)
+        p = tuple(p)
+        for tau, c in ring.split(coeff):
+            accumulate(terms, (p, g, tau), c)
     return HeckeElem._new(alg, terms)
 
 

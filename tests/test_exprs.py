@@ -1,14 +1,19 @@
 """The expression language: parsing, errors, evaluation, round trips."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.exprs import (
+    MAX_NESTING,
     BinOp,
     EvalError,
     Num,
@@ -161,8 +166,8 @@ def test_long_sums_and_products_evaluate():
     # rendering of 1,140 terms reads back as its element, and 2,000 summands
     # and 2,000 factors evaluate
     H = HeckeAlgebra(3, 2)
-    one = H.ring.one()
-    elem = H.elem_type(H, {(p, H.identity_g): one for p in exponents_bounded(3, 17)})
+    one, tz = H.ring.unit, H.ring.t_zero
+    elem = H.elem_type(H, {(p, H.identity_g, tz): one for p in exponents_bounded(3, 17)})
     assert len(elem.terms) == 1140
     assert eval_hecke(elem.render(), H) == elem
     assert eval_scalar("+".join(["1"] * 2000), 5) == Cyclotomic.from_rational(5, 2000)
@@ -175,6 +180,56 @@ def test_long_sums_and_products_evaluate():
 def test_nesting_too_deep_is_a_parse_error(text):
     with pytest.raises(ParseError, match=r"^expression nested too deeply at position \d+$"):
         parse(text)
+
+
+def parse_error_text(text, frames=0):
+    """The ParseError message of parse(text), called ``frames`` calls deeper."""
+    if frames:
+        return parse_error_text(text, frames - 1)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value)
+
+
+def test_nesting_error_is_the_same_at_any_stack_depth():
+    # the parser counts its own nesting, so the error names the opening
+    # token that crosses MAX_NESTING: the same text from the CLI, from parse
+    # at the top of a test and from parse 100 calls deeper
+    text = "(" * 300 + "x1" + ")" * 300
+    expected = f"expression nested too deeply at position {MAX_NESTING}"
+    assert parse_error_text(text) == expected
+    assert parse_error_text(text, frames=100) == expected
+    # signs and parentheses count alike: one character per level here too
+    assert parse_error_text("-(" * MAX_NESTING + "x1") == expected
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "twisted_hecke.cli", "normalize", "--n", "3", "--ell", "2", text],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {expected}\n"
+
+
+def test_nesting_at_the_bound_parses_and_evaluates():
+    # MAX_NESTING open levels, of parentheses, of signs and of both mixed,
+    # parse and evaluate, also when called 100 frames deep; one more does not
+    H = HeckeAlgebra(3, 2)
+    k = MAX_NESTING
+    cases = {
+        "(" * k + "x1" + ")" * k: H.gen_x(1),
+        "-" * k + "x1": H.gen_x(1) if k % 2 == 0 else -H.gen_x(1),
+        "-(" * (k // 2) + "x2*x1" + ")" * (k // 2): H.mul(H.gen_x(2), H.gen_x(1)),
+        "(x1*" * (k - 1) + "(x1)" + ")" * (k - 1): H.gen_x(1) ** k,
+    }
+
+    def deep(frames, text):
+        return eval_hecke(parse(text), H) if not frames else deep(frames - 1, text)
+
+    for text, expected in cases.items():
+        assert deep(0, text) == expected
+        assert deep(100, text) == expected
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" + text + ")")
 
 
 def test_atoms_cost_no_algebra_product(monkeypatch):

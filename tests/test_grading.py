@@ -23,7 +23,7 @@ def multidegrees(elem) -> set:
     symbolic t."""
     n = elem.alg.n
     out = set()
-    for (p, _), coeff in elem.terms.items():
+    for (p, _), coeff in elem.monomial_terms().items():
         for e in coeff.terms:
             # position k collects t_k and t_(k-1); t_n wraps round to eps_1
             out.add(tuple(p[k] + e[k] + e[k - 1] for k in range(n)))

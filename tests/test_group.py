@@ -410,8 +410,8 @@ def test_copies_and_pickles_are_the_live_element():
     a = H.mul(H.monomial((1, 0, 2, 1), gen(4, 3, 2)), H.gen_x(3)) + H.gen_g(4)
     b = copy.deepcopy(a)
     assert b == a and a == b
-    assert [g for _, g in b.terms] == [g for _, g in a.terms]
-    assert all(x is y for (_, x), (_, y) in zip(b.terms, a.terms))
+    assert [g for _, g, _ in b.terms] == [g for _, g, _ in a.terms]
+    assert all(x is y for (_, x, _), (_, y, _) in zip(b.terms, a.terms))
 
 
 def test_no_element_outlives_its_last_reference():

@@ -33,12 +33,10 @@ def symbolic(n, ell):
 def at_t(alg, elem, values):
     """elem with every coefficient evaluated at t = values, zeros dropped,
     as an element of the specialized algebra alg."""
-    terms = {}
-    for mono, c in elem.terms.items():
-        v = c.specialize(values)
-        if v:
-            terms[mono] = v
-    return alg.elem_type(alg, terms)
+    out = alg.zero()
+    for (p, g), c in elem.monomial_terms().items():
+        out = out + alg.monomial(p, g, c.specialize(values))
+    return out
 
 
 @pytest.mark.parametrize("texts", [T_GENERIC, T_WITH_ZERO])
@@ -65,8 +63,10 @@ def test_specialized_kernels_agree_with_symbolic_ones_at_t(n, ell, texts):
 
 
 def built_coefficients(H, L):
-    """Every coefficient of every value a Hecke and a Laurent algebra build
-    through their public constructors, kernels and closed forms."""
+    """Every scalar and coefficient that a Hecke and a Laurent algebra build
+    through their public constructors, kernels and closed forms, as three
+    lists: the ring's scalars, the coefficients the elements and the
+    rewriting caches store, and those of the elements' ``monomial_terms``."""
     n, ell, ring = H.n, H.ell, H.ring
     foreign = ParamRing(n, ell)
     scalars = [
@@ -94,24 +94,29 @@ def built_coefficients(H, L):
         eval_laurent(parse("t2*y1^-1*g1 + zeta"), L),
     ]
     elems += [L.theta_x(i) for i in range(1, n + 1)]
-    products = [c for key in list(H._insert_cache) for _, c in H._insert(*key)]
-    products += [c for key in list(H._product_cache) for c in H._normal_product(*key).values()]
-    coeffs = scalars + products
+    stored = [c for key in list(H._insert_cache) for _, c in H._insert(*key)]
+    stored += [c for key in list(H._product_cache) for c in H._normal_product(*key).values()]
+    viewed = []
     for elem in elems:
         if elem is not None:
-            coeffs += list(elem.terms.values())
-    return coeffs
+            stored += list(elem.terms.values())
+            viewed += list(elem.monomial_terms().values())
+    return scalars, stored, viewed
 
 
 @pytest.mark.parametrize("texts", [None, T_GENERIC, T_WITH_ZERO])
 @pytest.mark.parametrize("n,ell", [(3, 4), (4, 3)])
 def test_coefficients_are_cyclotomic_exactly_when_t_is_specialized(n, ell, texts):
+    # the ring's scalars and the coefficients of the view are ParamPoly
+    # exactly when t is symbolic; every coefficient an element or a cache
+    # stores is a Cyclotomic in both modes
     values = None if texts is None else t_at(n, ell, texts)
     expected = ParamPoly if values is None else Cyclotomic
     H, L = HeckeAlgebra(n, ell, values), LaurentAlgebra(n, ell, values)
-    coeffs = built_coefficients(H, L)
-    assert len(coeffs) > 100
-    assert {type(c) for c in coeffs} == {expected}
+    scalars, stored, viewed = built_coefficients(H, L)
+    assert len(stored) > 100 and len(viewed) > 40
+    assert {type(c) for c in scalars + viewed} == {expected}
+    assert {type(c) for c in stored} == {Cyclotomic}
 
 
 def test_a_symbolic_coefficient_is_evaluated_in_a_specialized_algebra():
