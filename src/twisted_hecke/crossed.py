@@ -5,11 +5,13 @@ Both algebras store elements as finite sums of terms c t^tau m^p g: c is a
 Cyclotomic scalar, t^tau a monomial in the deformation parameters t_i
 (tau = () when t is specialized, and then c carries t's values) and m^p is
 x^p (Hecke, p >= 0) or y^p (Laurent, p in Z^n).  The key of a term is
-(p, g, tau), so a (p, g) whose coefficient in Q(zeta)[t] has several
-t-monomials has one key for each; ``monomial_terms`` gathers them back into
-ParamRing scalars, the ring's ParamPoly when t is symbolic.  This is a
-change of basis over Q(zeta): t is central, so every product multiplies
-the Q(zeta) scalars and adds the t-exponents.  When the m_i commute,
+(p, g, tau) with g the integer code of the group element
+(``group.GroupCodes``; the identity is 0), so a (p, g) whose coefficient in
+Q(zeta)[t] has several t-monomials has one key for each; ``monomial_terms``
+gathers them back into ParamRing scalars, the ring's ParamPoly when t is
+symbolic, keyed by (p, GroupElem).  This is a change of basis over
+Q(zeta): t is central, so every product multiplies the Q(zeta) scalars and
+adds the t-exponents.  When the m_i commute,
 products follow the crossed-product law
 
     (m^p g)(m^q h) = char(g, q) alpha(g, h) m^(p+q) (gh),
@@ -19,18 +21,19 @@ graded multiplication of the Hecke algebra and, with p = 0, its left group
 step g (x^q h), which the deformation leaves alone; the case q = 0 is the
 right group step, c m^r k times g = alpha(k, g) c m^r (kg), that ends every
 product of either algebra.  The twist char(g, q) alpha(g, h) is zeta^z,
-with z read from the exponent vector of g (``group.twist_exp``) and
+with z read from the residues of g and h (``group.twist_exp``) and
 applied to a coefficient as a shift (``times_zeta``), not a product.
 
 One loop, ``CrossedAlgebra._accumulate_product``, applies the law in every
 product: to two sums in ``crossed_mul``, to one left term at x^0 in H's
 left group step, to one right term at m^0 in the right group step and to
-one scalar term in ``scale``.  Its shortcuts (no twist at an identity, no
-exponent sum with a zero vector, no coefficient product by the ring's one)
-are ``is`` tests, which decide exactly for the interned identity element;
-an equal object that is not the one tested takes the general path to the
-same result.  The element type (sums from ``cyclotomic.SparseSum``) and the
-algebra plumbing are here too; the subclasses add PBW rewriting and theta.
+one scalar term in ``scale``.  Its shortcuts: no twist at an identity, an
+exact test, as the identity's code 0 is the only false one; no exponent
+sum with a zero vector and no coefficient product by the ring's one, which
+are ``is`` tests, so an equal object that is not the one tested takes the
+general path to the same result.  The element type (sums from
+``cyclotomic.SparseSum``) and the algebra plumbing are here too; the
+subclasses add PBW rewriting and theta.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from operator import add
 
 from .coeffring import ParamRing
 from .cyclotomic import SparseSum, accumulate, graded_lex_key, indexed_powers, render_terms
-from .group import GroupElem, check_bounds, twist_exp
+from .group import GroupCodes, GroupElem, check_bounds, factors, twist_exp
 
 __all__ = ["CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
 
@@ -61,10 +64,10 @@ class CrossedElem(SparseSum):
     """A finite sum of terms c t^tau m^p g (a ``SparseSum``) with c a
     Cyclotomic, keyed by the triple (p, g, tau): p the exponents of
     m_1^(p_1) ... m_n^(p_n), with the factors in exactly that order and
-    integers that may be negative on the Laurent side, g the group element
-    and tau the t-exponent, () when t is specialized.  Elements of
-    different algebra types never mix: arithmetic between them is a
-    TypeError."""
+    integers that may be negative on the Laurent side, g the code of the
+    group element and tau the t-exponent, () when t is specialized.
+    Elements of different algebra types never mix: arithmetic between them
+    is a TypeError."""
 
     __slots__ = ("alg",)
     _mixed = "elements from incompatible algebras"
@@ -97,19 +100,19 @@ class CrossedElem(SparseSum):
         """Multiply by a ring scalar: the product with the scalar's terms
         c t^tau m^0 1, which are central."""
         alg, out = self.alg, {}
-        scalar = [((alg._zero_p, alg.identity_g, tau), c) for tau, c in alg.ring.split(value)]
+        scalar = [((alg._zero_p, 0, tau), c) for tau, c in alg.ring.split(value)]
         alg._accumulate_product(out, self.terms.items(), scalar)
         return self._like(out)
 
     def monomial_terms(self) -> dict:
-        """{(exponents, group): coefficient} with the t-monomials of each
-        (p, g) gathered into one ring scalar: a ParamPoly when t is
+        """{(exponents, GroupElem): coefficient} with the t-monomials of
+        each (p, g) gathered into one ring scalar: a ParamPoly when t is
         symbolic, a Cyclotomic when it is specialized."""
         grouped: dict = {}
         for (p, g, tau), c in self.terms.items():
             grouped.setdefault((p, g), {})[tau] = c
-        join = self.alg.ring.join
-        return {m: join(ts) for m, ts in grouped.items()}
+        join, elem = self.alg.ring.join, self.alg.codes.elem
+        return {(p, elem(g)): join(ts) for (p, g), ts in grouped.items()}
 
     def total_degree(self) -> int:
         """Filtration degree; -1 for the zero element."""
@@ -123,12 +126,13 @@ class CrossedElem(SparseSum):
         return self.__rmul__(other)
 
     def sorted_terms(self):
-        # by the monomial, ties broken by the group element and then by the
-        # t-monomial in ParamPoly's order
+        # by the monomial, ties broken by the group element's residues and
+        # then by the t-monomial in ParamPoly's order
+        res = self.alg.codes
         return sorted(
             self.terms.items(),
             key=lambda item: (
-                graded_lex_key(item[0][0]), item[0][1].e, graded_lex_key(item[0][2])
+                graded_lex_key(item[0][0]), res[item[0][1]], graded_lex_key(item[0][2])
             ),
         )
 
@@ -136,9 +140,9 @@ class CrossedElem(SparseSum):
         """Canonical text form in the shared expression grammar, with the
         monomial generators named by the algebra (``alg.var``)."""
         terms = []
-        var = self.alg.var
+        var, res = self.alg.var, self.alg.codes
         for (p, g, tau), coeff in self.sorted_terms():
-            tail = indexed_powers("t", tau) + indexed_powers(var, p) + g.factors()
+            tail = indexed_powers("t", tau) + indexed_powers(var, p) + factors(res[g])
             for rat, zeta in coeff.factor_terms():
                 terms.append((rat, zeta + tail))
         return render_terms(terms)
@@ -170,9 +174,8 @@ class CrossedAlgebra:
         self.n = n
         self.ell = ell
         self.ring = ParamRing(n, ell, t_values)
+        self.codes = GroupCodes(n, ell)
         self.identity_g = GroupElem.identity(n, ell)
-        # g_1, ..., g_n, built once: the rewriting and gen_g read them here
-        self._gens_g = tuple(GroupElem.generator(n, ell, i) for i in range(1, n + 1))
         self._zero_p = (0,) * n
 
     def compatible(self, other: "CrossedAlgebra") -> bool:
@@ -197,15 +200,15 @@ class CrossedAlgebra:
             raise ValueError(f"exponents must have length {self.n}")
         if not all(isinstance(k, int) for k in p):
             raise ValueError(f"exponents must be integers, got {p}")
-        if g is None:
-            g = self.identity_g
-        elif not isinstance(g, GroupElem):
+        if g is not None and not isinstance(g, GroupElem):
             raise TypeError(f"group part must be a GroupElem, got {g!r}")
-        else:
-            self.identity_g._check(g)
+        return self._term(p, 0 if g is None else self.codes.code(g), coeff)
+
+    def _term(self, p: tuple, code: int, coeff=None):
+        """coeff m^p g, unchecked, from the code of g."""
         ring = self.ring
         pairs = ((ring.t_zero, ring.unit),) if coeff is None else ring.split(coeff)
-        return self.elem_type._new(self, {(p, g, tau): c for tau, c in pairs})
+        return self.elem_type._new(self, {(p, code, tau): c for tau, c in pairs})
 
     def _gen_power(self, i: int, k: int):
         """The monomial m_i^k."""
@@ -216,39 +219,40 @@ class CrossedAlgebra:
     def _accumulate_product(self, out: dict, left, right) -> None:
         """Add (sum of ca t^sigma m^p g)(sum of cb t^tau m^q h) into the term
         map ``out``; ``left`` and ``right`` are sized collections of
-        ((exponents, group, t-exponent), coeff) pairs, and each pair adds
-        zeta^z ca cb t^(sigma+tau) m^(p+q) (gh), z from ``twist_exp``.
+        ((exponents, group code, t-exponent), coeff) pairs, and each pair
+        adds zeta^z ca cb t^(sigma+tau) m^(p+q) (gh), z from ``twist_exp``.
 
         Right terms are the outer loop.  A pair's z and group part are 0 and
         h when g is the identity, 0 and g when the right term is plain (h
-        the identity, q the zero vector), else the twist and gh.  Exponents
-        that are ``_zero_p`` are not added, nor t-exponents that are the
-        ring's ``t_zero`` (every t-exponent is, the empty tuple, when t is
-        specialized), and every coefficient product is one of Q(zeta).
-        With z = 0 no product is formed when a factor is the ring's
-        ``unit``.  With z != 0 one factor is shifted by zeta^z and
+        the identity, q the zero vector), else the twist and gh; the
+        identity test is exact, as the identity's code 0 is the only false
+        one.  Exponents that are ``_zero_p`` are not added, nor t-exponents
+        that are the ring's ``t_zero`` (every t-exponent is, the empty
+        tuple, when t is specialized), and every coefficient product is one
+        of Q(zeta).  With z = 0 no product is formed when a factor is the
+        ring's ``unit``.  With z != 0 one factor is shifted by zeta^z and
         multiplies the other unless that is the unit: the left's when the
-        left has one term, shifted once per z for the whole call, else
-        each right term's, once per z for that term; a unit is not shifted
-        but the other factor is.  These ``is`` tests are shortcuts only:
-        every identity element is the object ``identity_g``, and a zero
-        vector or a 1 that is another object takes the general path, to
-        the same result."""
-        ring = self.ring
-        one, tz, ident, zero = ring.unit, ring.t_zero, self.identity_g, self._zero_p
+        left has one term, shifted once per z for the whole call, else each
+        right term's, once per z for that term; a unit is not shifted but
+        the other factor is.  These ``is`` tests are shortcuts only: a zero
+        vector or a 1 that is another object takes the general path, to the
+        same result."""
+        ring, codes, ell = self.ring, self.codes, self.ell
+        one, tz, zero, gmul = ring.unit, ring.t_zero, self._zero_p, codes.mul
         lone = len(left) == 1
         shifted: dict = {}  # the shifted factor zeta^z by z != 0
         for (q, h, tau), cb in right:
-            plain = h is ident and q is zero
+            plain = not h and q is zero
             if shifted and not lone:
                 shifted = {}
+            eh = codes[h]  # h's residues
             for (p, g, sigma), ca in left:
-                if g is ident:
+                if not g:
                     z, k = 0, h
                 elif plain:
                     z, k = 0, g
                 else:
-                    z, k = twist_exp(g, q, h), g * h
+                    z, k = twist_exp(codes[g], q, eh, ell), gmul(g, h)
                 r = p if q is zero else q if p is zero else tuple(map(add, p, q))
                 s = sigma if tau is tz else tau if sigma is tz else tuple(map(add, sigma, tau))
                 if not z:
@@ -268,9 +272,7 @@ class CrossedAlgebra:
                 accumulate(out, (r, k, s), v)
 
     def gen_g(self, i: int):
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        return self.monomial(self._zero_p, self._gens_g[i - 1])
+        return self._term(self._zero_p, self.codes.generator(i))
 
     def commutator(self, a, b):
         return self.mul(a, b) - self.mul(b, a)

@@ -288,7 +288,7 @@ def _eval_sym(alg, sym: Sym, exp: int):
     if kind == "t":
         return alg.scalar(alg.ring.t(i) ** exp)
     if kind == "g":
-        return alg.monomial(alg._zero_p, alg._gens_g[i - 1] ** exp)
+        return alg._term(alg._zero_p, alg.codes.generator(i, exp))
     return alg._gen_power(i, exp)
 
 

@@ -174,7 +174,7 @@ class HeckeAlgebra(CrossedAlgebra):
         n, ell, ring = self.n, self.ell, self.ring
         main = list(q)
         main[i - 1] += 1
-        out = [((tuple(main), self.identity_g, ring.t_zero), ring.unit)]
+        out = [((tuple(main), 0, ring.t_zero), ring.unit)]
         # (relation r, passed position, sign s): x_(i-1) before x_i, x_1 after x_n
         for r, j, s in [(i - 1, i - 2, -1)] * (i >= 2) + [(n, 0, 1)] * (i == n):
             terms = (zeta_power(ell, s * (q[i - 1] - v)) for v in range(q[j]))
@@ -183,7 +183,7 @@ class HeckeAlgebra(CrossedAlgebra):
                 continue
             lower = list(q)
             lower[j] -= 1
-            lower, g_r = tuple(lower), self._gens_g[r - 1]
+            lower, g_r = tuple(lower), self.codes.generator(r)
             # no term when a specialised t_r is 0
             for tau, c in ring.split(ring.t(r).scale(scal if s > 0 else -scal)):
                 out.append(((lower, g_r, tau), c))
@@ -199,7 +199,7 @@ class HeckeAlgebra(CrossedAlgebra):
         hit = self._product_cache.get(key)
         if hit is not None:
             return hit
-        cur = {(q, self.identity_g, self.ring.t_zero): self.ring.unit}
+        cur = {(q, 0, self.ring.t_zero): self.ring.unit}
         for i in range(self.n, 0, -1):
             for _ in range(p[i - 1]):
                 nxt: dict = {}
@@ -328,7 +328,7 @@ class HeckeAlgebra(CrossedAlgebra):
             product = self.mul(
                 self.monomial(tuple(self.ell * k for k in p)), self.w_power(m)
             )
-            lead = (tuple(self.ell * k + m for k in p), self.identity_g)
+            lead = (tuple(self.ell * k + m for k in p), 0)
             if lead in seen or not any(key[:2] == lead for key in product.terms):
                 return False
             seen.add(lead)

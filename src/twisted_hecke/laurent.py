@@ -49,9 +49,9 @@ class LaurentAlgebra(CrossedAlgebra):
         self._theta_mono: dict = {self._zero_p: self.one()}
         zeta = zeta_power(ell, 1)
         scal = -(zeta * (zeta - 1).inv())
-        for i, gi in enumerate(self._gens_g, 1):
+        for i in range(1, n + 1):
             q_low = tuple(-1 if k == i % n else 0 for k in range(n))
-            low = self.monomial(q_low, gi, self.ring.t(i).scale(scal))
+            low = self._term(q_low, self.codes.generator(i), self.ring.t(i).scale(scal))
             self._theta_mono[tuple(int(k == i - 1) for k in range(n))] = self.gen_y(i) + low
 
     def gen_y(self, i: int, k: int = 1) -> LaurentElem:
@@ -168,7 +168,7 @@ class LaurentAlgebra(CrossedAlgebra):
         one = self.ring.unit
         for p in exponents_bounded(self.n, max_degree):
             d = sum(p)
-            lead = (p, self.identity_g, self.ring.t_zero)
+            lead = (p, 0, self.ring.t_zero)
             img = self._theta_monomial(p)
             if img.terms.get(lead) != one:
                 return False

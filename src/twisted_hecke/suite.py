@@ -95,7 +95,7 @@ def random_hecke_elem(
     """A random sparse element: few monomials of bounded filtration degree
     with small monomial coefficients (rational times zeta power times t's).
     The terms go straight into one map: the group residues are drawn in
-    range, so each element is made unchecked, and zeta^k is a shift."""
+    range, so each is encoded directly, and zeta^k is a shift."""
     n, ell, ring = alg.n, alg.ell, alg.ring
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -103,7 +103,7 @@ def random_hecke_elem(
         p = [0] * n
         for _ in range(d):
             p[rng.randrange(n)] += 1
-        g = GroupElem._make(n, ell, tuple([rng.randrange(ell) for _ in range(n - 1)]))
+        g = alg.codes.encode([rng.randrange(ell) for _ in range(n - 1)])
         rat = Fraction(rng.choice((1, -1, 2, -2, 1, 3)), rng.choice((1, 1, 2)))
         coeff = ring.from_cyclotomic(
             Cyclotomic.from_rational(ell, rat).times_zeta(rng.randrange(ell))

@@ -1,14 +1,9 @@
 """The homocyclic group, its cocycle, and the action characters."""
 
 import copy
-import gc
 import itertools
 import pickle
 import random
-import sys
-import threading
-import tracemalloc
-import weakref
 from operator import mul
 
 import pytest
@@ -18,6 +13,7 @@ from hypothesis import strategies as st
 from twisted_hecke import HeckeAlgebra, group
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.group import (
+    GroupCodes,
     GroupElem,
     action_char,
     action_char_exp,
@@ -176,7 +172,8 @@ def test_cocycle_checks_reject_a_non_cocycle(n, ell, monkeypatch):
 def cocycle_holds_on_pairs(n, ell):
     """The |G|^2 pair sweep the row check replaces, through the current
     bindings: with A_kl = alpha_exp(g_k, g_l), alpha_exp(g^e, g^f) equals
-    sum e_k f_l A_kl and the exponent products read, twist_exp(g, 0, h),
+    sum e_k f_l A_kl and the exponent products read, twist_exp on the
+    residues of g, 0 and h,
     equals alpha_exp(g, h) on every pair (mod ell)."""
     gens = [gen(n, ell, i) for i in range(1, n)]
     gram = [[group.alpha_exp(a, b) for b in gens] for a in gens]
@@ -186,7 +183,8 @@ def cocycle_holds_on_pairs(n, ell):
         row = [sum(ek * col[l] for ek, col in zip(g.e, gram)) for l in range(n - 1)]
         for h in elems:
             a = group.alpha_exp(g, h)
-            if (a - sum(map(mul, row, h.e))) % ell or (group.twist_exp(g, zero, h) - a) % ell:
+            z = group.twist_exp(g.e, zero, h.e, ell)
+            if (a - sum(map(mul, row, h.e))) % ell or (z - a) % ell:
                 return False
     return True
 
@@ -202,7 +200,7 @@ def action_laws_hold(n, ell):
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
     def z(g, p):
-        return group.twist_exp(g, p, one)
+        return group.twist_exp(g.e, p, one.e, ell)
 
     for g in elems:
         for p in box:
@@ -253,7 +251,9 @@ def test_twist_checks_and_references_agree_on_corruptions(n, ell, corruption, mo
         target = g1 if corruption == "g1-row" else g1 * g2
         real = group.twist_exp
         monkeypatch.setattr(
-            group, "twist_exp", lambda g, q, h: real(g, q, h) + (g == target) * (q[-1] + h.e[-1])
+            group,
+            "twist_exp",
+            lambda e, q, f, ell: real(e, q, f, ell) + (e == target.e) * (q[-1] + f[-1]),
         )
         broken = {"rows-alpha", "pairs", "rows-char", "action"}
     verdicts = twist_verdicts(n, ell)
@@ -299,22 +299,6 @@ def test_render_descending_and_identity():
     assert gen(4, 3, 4).render() == "g3^2*g2^2*g1^2"
 
 
-def test_products_built_by_make_equal_public_construction():
-    n, ell = 4, 3
-    g = GroupElem(n, ell, (1, 2, 0))
-    h = GroupElem(n, ell, (2, 2, 1))
-    for made, public in [
-        (g * h, GroupElem(n, ell, (3, 4, 1))),
-        (g**5, GroupElem(n, ell, (5, 10, 0))),
-        (h.inverse(), GroupElem(n, ell, (-2, -2, -1))),
-        (GroupElem._make(n, ell, (0, 1, 2)), GroupElem(n, ell, (3, 4, 5))),
-    ]:
-        assert made == public and public == made
-        assert hash(made) == hash(public)
-        assert made.e == public.e and made.n == n and made.ell == ell
-    assert len({g * h, GroupElem(n, ell, (0, 1, 1))}) == 1
-
-
 def test_group_elements_reject_bad_shapes():
     with pytest.raises(ValueError, match=r"^expected 2 exponents, got 1$"):
         GroupElem(3, 2, (0,))
@@ -322,57 +306,6 @@ def test_group_elements_reject_bad_shapes():
         GroupElem(3, 2, (0, 1)) * GroupElem(3, 3, (0, 1))
     with pytest.raises(ValueError, match=r"^exponent vector must have length 3$"):
         action_char(GroupElem(3, 2, (0, 1)), (1, 2))
-
-
-@pytest.mark.parametrize("n,ell", [(3, 2), (5, 4), (16, 7), (16, 1000)])
-def test_products_by_code_agree_with_exponent_arithmetic(n, ell):
-    rng = random.Random(f"codes:{n}:{ell}")
-    for _ in range(300):
-        e = [rng.randrange(ell) for _ in range(n - 1)]
-        f = [rng.choice((0, ell - 1, rng.randrange(ell))) for _ in range(n - 1)]
-        g, h = GroupElem(n, ell, e), GroupElem(n, ell, f)
-        gh = g * h
-        assert gh.e == tuple((a + b) % ell for a, b in zip(e, f))
-        assert gh is GroupElem(n, ell, gh.e)
-        assert gh.is_identity() == (gh.e == (0,) * (n - 1))
-
-
-def test_every_construction_path_gives_the_live_element():
-    n, ell = 4, 3
-    g1, g3 = gen(n, ell, 1), gen(n, ell, 3)
-    g = GroupElem(n, ell, (1, 0, 2))
-    for same in [
-        GroupElem(n, ell, (4, -3, -1)),  # unreduced residues
-        GroupElem(n, ell, [1, 0, 2]),
-        GroupElem._make(n, ell, (1, 0, 2)),
-        g1 * g3.inverse(),
-        g3.inverse() * g1,
-        g1 * g3**2,
-        g**4,
-        g.inverse().inverse(),
-        (g**2).inverse(),
-        GroupElem.identity(n, ell) * g,
-        next(x for x in all_elements(n, ell) if x.e == (1, 0, 2)),
-    ]:
-        assert same is g
-    assert [x.e for x in all_elements(n, ell)] == list(itertools.product(range(ell), repeat=n - 1))
-    assert all(x is GroupElem(n, ell, x.e) for x in all_elements(n, ell))
-    ident = GroupElem.identity(n, ell)
-    for same in [
-        GroupElem(n, ell, (3, -6, 0)),
-        GroupElem._make(n, ell, (0, 0, 0)),
-        g1**ell,
-        g**0,
-        g * g.inverse(),
-        gen(n, ell, 1) * gen(n, ell, 2) * gen(n, ell, 3) * gen(n, ell, 4),
-    ]:
-        assert same is ident
-    assert gen(n, ell, 2) is GroupElem(n, ell, (0, 1, 0))
-    assert gen(n, ell, 4) is GroupElem(n, ell, (-1, -1, -1))
-    # equality and hashing are the object's own
-    assert g == GroupElem(n, ell, (1, 0, 2)) and g != GroupElem(n, ell, (1, 0, 1))
-    assert g != (1, 0, 2) and g != GroupElem(5, ell, (1, 0, 2, 0))
-    assert hash(g) == hash(GroupElem(n, ell, (4, 3, 5)))
 
 
 @pytest.mark.parametrize("a,b", [((3, 2), (3, 3)), ((3, 3), (3, 2)), ((4, 3), (3, 4)), ((3, 4), (4, 4))])
@@ -399,69 +332,106 @@ def test_operands_that_are_no_group_elements_raise_type_error():
         g * (1, 2)
 
 
-def test_copies_and_pickles_are_the_live_element():
+def test_every_construction_path_gives_an_equal_element():
+    n, ell = 4, 3
+    codes = GroupCodes(n, ell)
+    g1, g3 = gen(n, ell, 1), gen(n, ell, 3)
+    g = GroupElem(n, ell, (1, 0, 2))
+    for same in [
+        GroupElem(n, ell, (4, -3, -1)),  # unreduced residues
+        GroupElem(n, ell, [1, 0, 2]),
+        codes.elem(codes.encode((1, 0, 2))),
+        g1 * g3.inverse(),
+        g3.inverse() * g1,
+        g1 * g3**2,
+        g**4,
+        g.inverse().inverse(),
+        (g**2).inverse(),
+        GroupElem.identity(n, ell) * g,
+        next(x for x in all_elements(n, ell) if x.e == (1, 0, 2)),
+    ]:
+        assert same == g and g == same and hash(same) == hash(g)
+    assert [x.e for x in all_elements(n, ell)] == list(itertools.product(range(ell), repeat=n - 1))
+    assert all(x == GroupElem(n, ell, x.e) for x in all_elements(n, ell))
+    ident = GroupElem.identity(n, ell)
+    for same in [
+        GroupElem(n, ell, (3, -6, 0)),
+        codes.elem(0),
+        g1**ell,
+        g**0,
+        g * g.inverse(),
+        gen(n, ell, 1) * gen(n, ell, 2) * gen(n, ell, 3) * gen(n, ell, 4),
+    ]:
+        assert same == ident and hash(same) == hash(ident) and same.is_identity()
+    assert gen(n, ell, 2) == GroupElem(n, ell, (0, 1, 0))
+    assert gen(n, ell, 4) == GroupElem(n, ell, (-1, -1, -1))
+    assert g != GroupElem(n, ell, (1, 0, 1)) and not (g == GroupElem(n, ell, (1, 0, 1)))
+    assert g != (1, 0, 2)
+    # products and powers against public construction from unreduced exponents
+    h = GroupElem(n, ell, (2, 2, 1))
+    for made, public in [
+        (g1 * h, GroupElem(n, ell, (3, 2, 1))),
+        (GroupElem(n, ell, (1, 2, 0)) * h, GroupElem(n, ell, (3, 4, 1))),
+        (GroupElem(n, ell, (1, 2, 0)) ** 5, GroupElem(n, ell, (5, 10, 0))),
+        (h.inverse(), GroupElem(n, ell, (-2, -2, -1))),
+        (codes.elem(codes.encode((0, 1, 2))), GroupElem(n, ell, (3, 4, 5))),
+    ]:
+        assert made == public and public == made
+        assert hash(made) == hash(public)
+        assert made.e == public.e and made.n == n and made.ell == ell
+    assert len({GroupElem(n, ell, (1, 2, 0)) * h, GroupElem(n, ell, (0, 1, 1))}) == 1
+
+
+def test_elements_of_other_groups_are_unequal():
+    # the same residues in another group are another element
+    for (n, ell), (m, k) in [((3, 2), (3, 3)), ((4, 3), (4, 4)), ((4, 3), (5, 3))]:
+        g, h = GroupElem(n, ell, (1,) * (n - 1)), GroupElem(m, k, (1,) * (m - 1))
+        assert g != h and h != g and not g == h
+        assert len({g, h}) == 2
+    assert GroupElem(4, 3, (1, 0, 2)) != GroupElem(5, 3, (1, 0, 2, 0))
+    assert GroupElem.identity(3, 2) != GroupElem.identity(3, 3)
+
+
+def test_copies_and_pickles_give_equal_elements():
     g = GroupElem(5, 4, (1, 2, 3, 0))
-    assert copy.copy(g) is g
-    assert copy.deepcopy(g) is g
+    ident = GroupElem.identity(5, 4)
+    assert copy.copy(g) == g and copy.deepcopy(g) == g
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(g, protocol)) is g
-    assert pickle.loads(pickle.dumps([g, GroupElem.identity(5, 4)]))[1] is GroupElem.identity(5, 4)
+        for x in (g, ident):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert type(back) is GroupElem and back == x and hash(back) == hash(x)
+            assert (back.n, back.ell, back.e) == (x.n, x.ell, x.e)
+    assert pickle.loads(pickle.dumps([g, ident]))[1] == ident
     H = HeckeAlgebra(4, 3)
     a = H.mul(H.monomial((1, 0, 2, 1), gen(4, 3, 2)), H.gen_x(3)) + H.gen_g(4)
     b = copy.deepcopy(a)
     assert b == a and a == b
-    assert [g for _, g, _ in b.terms] == [g for _, g, _ in a.terms]
-    assert all(x is y for (_, x, _), (_, y, _) in zip(b.terms, a.terms))
+    assert b.terms == a.terms and b.monomial_terms() == a.monomial_terms()
 
 
-def test_no_element_outlives_its_last_reference():
-    g = GroupElem(6, 5, (1, 2, 3, 4, 0))
-    ref = weakref.ref(g)
-    del g
-    assert ref() is None
-    h = GroupElem(6, 5, (1, 2, 3, 4, 0))
-    assert h.e == (1, 2, 3, 4, 0) and h * h.inverse() is GroupElem.identity(6, 5)
-
-
-def test_a_sweep_over_the_group_leaves_no_memory_behind():
-    # one element is live at a time, and the table of live elements is
-    # freed with the group's last element
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert sum(1 for _ in all_elements(8, 4)) == 4**7
-        assert check_twist_rows(8, 4, "char")[0]
-        gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert kept < 100_000
-
-
-def test_threads_building_one_group_get_the_same_objects():
-    # each thread builds every element of a group no one holds yet; a lost
-    # update in the table would give two threads two objects for one element
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(3):
-            n, ell = 6, 3 + trial
-            built = [[] for _ in range(4)]
-            gens = [gen(n, ell, i) for i in range(1, n)]
-
-            def build(out):
-                for e in itertools.product(range(ell), repeat=n - 1):
-                    out.append(GroupElem(n, ell, e) * gens[0] * gens[0].inverse())
-
-            threads = [threading.Thread(target=build, args=(out,)) for out in built]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            assert all(len(out) == ell ** (n - 1) for out in built)
-            for same in zip(*built):
-                assert all(g is same[0] for g in same)
-    finally:
-        sys.setswitchinterval(switch)
+@pytest.mark.parametrize("n,ell", [(3, 2), (5, 4), (16, 7), (16, 1000)])
+def test_products_by_code_agree_with_exponent_arithmetic(n, ell):
+    # the code object: encode and decode are inverse, the identity is 0,
+    # and a product of codes is the code of the residues' sum mod ell
+    codes = GroupCodes(n, ell)
+    rng = random.Random(f"codes:{n}:{ell}")
+    seen = {0}
+    assert codes.encode((0,) * (n - 1)) == 0 and codes[0] == (0,) * (n - 1)
+    for _ in range(300):
+        e = tuple(rng.randrange(ell) for _ in range(n - 1))
+        f = tuple(rng.choice((0, ell - 1, rng.randrange(ell))) for _ in range(n - 1))
+        a, b = codes.encode(e), codes.encode(f)
+        assert codes[a] == e and codes[b] == f
+        assert codes.code(GroupElem(n, ell, e)) == a and codes.elem(a) == GroupElem(n, ell, e)
+        ab = codes.mul(a, b)
+        assert codes[ab] == tuple((x + y) % ell for x, y in zip(e, f))
+        assert ab == codes.encode(codes[ab]) and ab == codes.mul(b, a)
+        assert (not ab) == (codes[ab] == (0,) * (n - 1))
+        seen |= {a, b, ab}
+    # the decode cache holds the codes decoded, no more
+    assert set(codes) == seen
+    for i in range(1, n + 1):
+        for k in (-1, 1, 2, ell + 1):
+            assert codes[codes.generator(i, k)] == (gen(n, ell, i) ** k).e
+    with pytest.raises(ValueError, match=r"^group elements from different groups$"):
+        codes.code(GroupElem(n, ell + 1, (0,) * (n - 1)))

@@ -164,7 +164,7 @@ def test_twist_checks_reject_a_corrupted_row(monkeypatch):
     g1 = GroupElem.generator(n, ell, 1)
     real = group.twist_exp
     monkeypatch.setattr(
-        group, "twist_exp", lambda g, q, h: real(g, q, h) + (g == g1) * (q[-1] + h.e[-1])
+        group, "twist_exp", lambda e, q, f, ell: real(e, q, f, ell) + (e == g1.e) * (q[-1] + f[-1])
     )
     assert not cocycle_identity_holds(n, ell)
     by_name = {r.name: r.status for r in run_suite(Config(n=n, ell=ell))}
