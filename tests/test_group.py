@@ -332,7 +332,9 @@ def test_operands_that_are_no_group_elements_raise_type_error():
         g * (1, 2)
 
 
-def test_every_construction_path_gives_an_equal_element():
+def test_every_construction_path_gives_the_live_element():
+    # elements are plain values: every path to the element in hand gives
+    # one equal to it, with an equal hash
     n, ell = 4, 3
     codes = GroupCodes(n, ell)
     g1, g3 = gen(n, ell, 1), gen(n, ell, 3)
@@ -367,7 +369,14 @@ def test_every_construction_path_gives_an_equal_element():
     assert gen(n, ell, 4) == GroupElem(n, ell, (-1, -1, -1))
     assert g != GroupElem(n, ell, (1, 0, 1)) and not (g == GroupElem(n, ell, (1, 0, 1)))
     assert g != (1, 0, 2)
-    # products and powers against public construction from unreduced exponents
+
+
+def test_products_built_by_make_equal_public_construction():
+    # products, powers, inverses and decoded codes against public
+    # construction from unreduced exponents
+    n, ell = 4, 3
+    codes = GroupCodes(n, ell)
+    g1 = gen(n, ell, 1)
     h = GroupElem(n, ell, (2, 2, 1))
     for made, public in [
         (g1 * h, GroupElem(n, ell, (3, 2, 1))),
