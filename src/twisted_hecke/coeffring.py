@@ -100,7 +100,8 @@ class ParamPoly(SparseSum):
     scale = SparseSum.scale
 
     def times_zeta(self, k: int) -> "ParamPoly":
-        """Multiply by zeta^k, a shift of every coefficient (no product)."""
+        """Multiply by zeta^k: ``Cyclotomic.times_zeta`` of every
+        coefficient, with no general product."""
         if not k % self.ell:
             return self
         return self._like({e: c.times_zeta(k) for e, c in self.terms.items()})
@@ -229,6 +230,28 @@ class ParamRing:
         if type(c) is Cyclotomic:
             return ((tz, c),) if c else ()
         return tuple([(e if any(e) else tz, v) for e, v in c.terms.items()])
+
+    def split_t_monomial(self, c: Cyclotomic, indices) -> tuple:
+        """``split`` of c t_(i1) ... t_(ik) for the 1-based ``indices``, with
+        no ParamPoly product.  Specialized t: the pair (t_zero, product of c
+        and the t values), none when that is zero.  Symbolic t: the one pair
+        (t-exponent, c), none when c is zero; a 1 on a t-monomial is handed
+        out as ``unit``, the coefficient ``t(i)`` holds, so the product
+        loop's ``is`` tests see it."""
+        if not all(1 <= i <= self.n for i in indices):
+            raise ValueError(f"parameter index out of range 1..{self.n} in {indices}")
+        e = self.t_zero
+        if self.t_values is not None:
+            for i in indices:
+                c = c * self.t_values[i - 1]
+        elif indices:
+            e = [0] * self.n
+            for i in indices:
+                e[i - 1] += 1
+            e = tuple(e)
+            if c == self.unit:
+                c = self.unit
+        return ((e, c),) if c else ()
 
     def join(self, terms: dict) -> ParamPoly | Cyclotomic:
         """The scalar sum of c t^e over {e: c} (no c zero), the inverse of

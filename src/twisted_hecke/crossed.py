@@ -22,7 +22,7 @@ step g (x^q h), which the deformation leaves alone; the case q = 0 is the
 right group step, c m^r k times g = alpha(k, g) c m^r (kg), that ends every
 product of either algebra.  The twist char(g, q) alpha(g, h) is zeta^z,
 with z read from the residues of g and h (``group.twist_exp``) and
-applied to a coefficient as a shift (``times_zeta``), not a product.
+applied to a coefficient by ``times_zeta``, not by a general product.
 
 One loop, ``CrossedAlgebra._accumulate_product``, applies the law in every
 product: to two sums in ``crossed_mul``, to one left term at x^0 in H's

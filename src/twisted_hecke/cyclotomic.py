@@ -7,10 +7,14 @@ polynomial: a vector of phi(ell) = deg Phi_ell integer numerators over one
 positive common denominator, fully reduced against Phi_ell and in lowest
 terms (gcd(den, *num) == 1, zero is 0/1).  Equality is therefore structural
 and every comparison is exact.  Phi_ell is monic with integer coefficients,
-so a product is an integer convolution, an integer reduction and one gcd;
+so a product is an integer product of numerators modulo Phi_ell and one gcd;
 ``fractions.Fraction`` appears only where values enter or leave (the
-constructor, ``from_rational``, ``coeffs``).  Every reduction past phi(ell)
-is one integer fold, ``_fold``.
+constructor, ``from_rational``, ``coeffs``).
+
+The numerator product is a kernel per ell (``_kernel``), built from Phi_ell
+on first use: for phi(ell) <= 2 a closed form in two or four integers, and
+for larger phi(ell) an integer convolution reduced by the one integer fold,
+``_fold``, through which every other reduction past phi(ell) goes too.
 
 Working modulo Phi_ell rather than modulo z^ell - 1 makes the quotient a
 field: every nonzero element has an inverse (its Galois conjugates over its
@@ -93,6 +97,68 @@ def _degree(ell: int) -> int:
     return len(cyclotomic_polynomial(ell)) - 1
 
 
+@lru_cache(maxsize=None)
+def _kernel(ell: int):
+    """The product of two reduced integer numerators modulo Phi_ell, as a
+    function of the two sequences that returns phi(ell) integers.
+
+    phi(ell) = 1 (ell = 1, 2): Q(zeta) = Q and the product is a0 b0.
+    phi(ell) = 2 (ell = 3, 4, 6): with Phi_ell = c0 + c1 z + z^2, z^2 =
+    -c0 - c1 z, so (a0 + a1 z)(b0 + b1 z) = a0 b0 - c0 h + (a0 b1 + a1 b0 -
+    c1 h) z with h = a1 b1.  Larger phi(ell): the convolution reduced by
+    ``_fold``, and a rational factor (zero past its first place) just
+    scales the other, which is already reduced."""
+    m = _degree(ell)
+    if m == 1:
+        return lambda a, b: (a[0] * b[0],)
+    if m == 2:
+        c0, c1 = (int(c) for c in cyclotomic_polynomial(ell)[:2])
+
+        def product(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            h = a1 * b1
+            return (a0 * b0 - c0 * h, a0 * b1 + a1 * b0 - c1 * h)
+
+        return product
+
+    def product(a, b):
+        if any(a[1:]):
+            a, b = b, a
+        if not any(a[1:]):
+            r = a[0]
+            return [r * y for y in b]
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        return _fold(ell, conv)
+
+    return product
+
+
+def kernel_matches_fold(ell: int) -> bool:
+    """True when ``_kernel(ell)`` agrees with ``_fold`` of the integer
+    convolution on every basis pair z^i, z^j with i, j < phi(ell).
+
+    The closed forms and the convolution are Z-bilinear in the two
+    numerators, and the rational branch r b is the convolution of r z^0
+    with b, which is already reduced; so agreement on the basis pairs gives
+    agreement on every pair of numerators, and ``__mul__`` divides by the
+    same denominator either way."""
+    m = _degree(ell)
+    kernel = _kernel(ell)
+    for i in range(m):
+        for j in range(m):
+            a = [int(k == i) for k in range(m)]
+            b = [int(k == j) for k in range(m)]
+            conv = [int(k == i + j) for k in range(2 * m - 1)]
+            if list(kernel(a, b)) != _fold(ell, conv):
+                return False
+    return True
+
+
 class Cyclotomic:
     """An element of Q(zeta) for a fixed primitive ell-th root of unity zeta.
 
@@ -161,18 +227,20 @@ class Cyclotomic:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _signed_sum(self, o, 1)
+        if type(other) is not Cyclotomic or other.ell != self.ell:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _signed_sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _signed_sum(self, o, -1)
+        if type(other) is not Cyclotomic or other.ell != self.ell:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _signed_sum(self, other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -184,27 +252,14 @@ class Cyclotomic:
         return Cyclotomic._make(self.ell, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        x, y = (o, self) if any(self.num[1:]) else (self, o)
-        if not any(x.num[1:]):
-            # x is the rational r/x.den: scale y by it
-            r = x.num[0]
-            if not r:
-                return x
-            if r == 1 and x.den == 1:
-                return y
-            return Cyclotomic._make(y.ell, *_lowest_terms([r * c for c in y.num], x.den * y.den))
-        a, b = self.num, o.num
-        m = len(a)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    conv[j] += x * y
-        num = _fold(self.ell, conv)
-        return Cyclotomic._make(self.ell, *_lowest_terms(num, self.den * o.den))
+        # an exact type test first: Fraction is an ABC, so isinstance is slow
+        if type(other) is not Cyclotomic or other.ell != self.ell:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        ell = self.ell
+        num = _kernel(ell)(self.num, other.num)
+        return Cyclotomic._make(ell, *_lowest_terms(num, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -214,14 +269,18 @@ class Cyclotomic:
         return self * c
 
     def times_zeta(self, k: int) -> "Cyclotomic":
-        """self * zeta^k without a product: the numerator rotates k places,
-        from z^j to z^((j+k) mod ell) since z^ell = 1, and only the places
-        from phi(ell) to ell - 1 fold.  zeta^k is a unit of Z[zeta], so the
-        numerator's gcd with den is unchanged and stays 1."""
+        """self * zeta^k.  For phi(ell) <= 2 it is the kernel's product of
+        the numerator by the power table's row of z^k; for larger phi(ell)
+        the numerator rotates k places, from z^j to z^((j+k) mod ell) since
+        z^ell = 1, and only the places from phi(ell) to ell - 1 fold.
+        zeta^k is a unit of Z[zeta], so the numerator's gcd with den is
+        unchanged and stays 1."""
         ell = self.ell
         k %= ell
         if not k:
             return self
+        if len(self.num) <= 2:
+            return Cyclotomic._make(ell, _kernel(ell)(self.num, _power_table(ell)[k]), self.den)
         v = [0] * k
         v += self.num
         wrap = len(v) - ell

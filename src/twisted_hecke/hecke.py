@@ -213,16 +213,21 @@ class HeckeAlgebra(CrossedAlgebra):
     def mul(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         """Product in H in canonical PBW form: (x^p g) b = x^p (g b), where g b
         is the crossed product, as only the [x_i, x_j] are deformed (the loop
-        on one left term ca x^0 g), and each term c x^q k of g b adds x^p x^q
-        in normal form times c x^0 k (the loop on one right term).  Each
-        term's t-exponent rides on the one-term side of each step."""
+        on one left term ca x^0 g), and the terms c x^q k of g b that share
+        an x^q add x^p x^q in normal form times the sum of their c x^0 k (one
+        loop per distinct q, whose right side is those terms).  Each term's
+        t-exponent rides on the one-term side of the first step and on the
+        right side of the second."""
         a._check(b)
         step, zero, out = self._accumulate_product, self._zero_p, {}
         for (p, g, sigma), ca in a.terms.items():
             gb: dict = {}
             step(gb, (((zero, g, sigma), ca),), b.terms.items())
+            by_q: dict = {}
             for (q, k, tau), c in gb.items():
-                step(out, self._normal_product(p, q).items(), (((zero, k, tau), c),))
+                by_q.setdefault(q, []).append(((zero, k, tau), c))
+            for q, right in by_q.items():
+                step(out, self._normal_product(p, q).items(), right)
         return HeckeElem._new(self, out)
 
     # product in the associated graded algebra: the crossed product of the

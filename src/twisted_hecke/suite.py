@@ -95,7 +95,8 @@ def random_hecke_elem(
     """A random sparse element: few monomials of bounded filtration degree
     with small monomial coefficients (rational times zeta power times t's).
     The terms go straight into one map: the group residues are drawn in
-    range, so each is encoded directly, and zeta^k is a shift."""
+    range, so each is encoded directly, zeta^k is ``times_zeta`` and the ring
+    splits the coefficient times its t's with no polynomial product."""
     n, ell, ring = alg.n, alg.ell, alg.ring
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -105,13 +106,10 @@ def random_hecke_elem(
             p[rng.randrange(n)] += 1
         g = alg.codes.encode([rng.randrange(ell) for _ in range(n - 1)])
         rat = Fraction(rng.choice((1, -1, 2, -2, 1, 3)), rng.choice((1, 1, 2)))
-        coeff = ring.from_cyclotomic(
-            Cyclotomic.from_rational(ell, rat).times_zeta(rng.randrange(ell))
-        )
-        for _ in range(rng.randint(0, 2)):
-            coeff = coeff * ring.t(rng.randint(1, n))
+        coeff = Cyclotomic.from_rational(ell, rat).times_zeta(rng.randrange(ell))
+        ts = [rng.randint(1, n) for _ in range(rng.randint(0, 2))]
         p = tuple(p)
-        for tau, c in ring.split(coeff):
+        for tau, c in ring.split_t_monomial(coeff, ts):
             accumulate(terms, (p, g, tau), c)
     return HeckeElem._new(alg, terms)
 

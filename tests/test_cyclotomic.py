@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_hecke.coeffring import ParamRing
+from twisted_hecke import cyclotomic
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
     _poly_divmod,
     accumulate,
     cyclotomic_polynomial,
+    kernel_matches_fold,
     power_by_squaring,
     zeta_power,
 )
@@ -202,8 +204,10 @@ def test_accumulate_never_stores_a_zero(zero, a, b):
 
 # -- the integer-numerator representation against a Fraction-vector reference
 
-# Phi_6 and Phi_12 have negative coefficients; ell = 1 makes zeta = 1
-REF_ELLS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
+# Phi_6, Phi_10 and Phi_12 have negative coefficients; ell = 1 makes zeta = 1;
+# phi(ell) is 1 at ell = 1, 2 and 2 at ell = 3, 4, 6, where the products are
+# closed forms, and at least 4 at the rest, where they are convolutions
+REF_ELLS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
 
 
 def ref_reduce(ell, coeffs):
@@ -291,6 +295,40 @@ def test_times_zeta_matches_the_product(case):
         ring = ParamRing(3, ell)
         p = ring.t(2).scale(x) + ring.from_cyclotomic(x * x)
         assert p.times_zeta(k) == p.scale(zeta_power(ell, k))
+
+
+@pytest.mark.parametrize("ell", range(1, 31))
+def test_product_kernel_matches_the_fold_on_every_basis_pair(ell):
+    """The per-ell product kernel equals the folded convolution on every
+    pair z^i, z^j with i, j < phi(ell).  The closed forms (phi <= 2) and the
+    convolution are Q-bilinear, so agreement on a basis pair of each side
+    gives agreement on every pair of elements; the rational branch (phi >= 3)
+    scales the other factor, which is the folded convolution of r z^0 with
+    an already reduced numerator.  Each z^i z^j also matches the
+    Fraction-vector reference."""
+    assert kernel_matches_fold(ell)
+    m = len(cyclotomic_polynomial(ell)) - 1
+    for i in range(m):
+        for j in range(m):
+            got = zeta_power(ell, i) * zeta_power(ell, j)
+            assert assert_canonical(got).coeffs == ref_reduce(ell, [0] * (i + j) + [1])
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 6, 7])
+def test_a_wrong_kernel_fails_the_basis_pair_check(ell, monkeypatch):
+    # a kernel that cuts the convolution at phi(ell) without folding what
+    # lies past it, or flips the sign when phi(ell) = 1, fails the check
+    m = len(cyclotomic_polynomial(ell)) - 1
+
+    def wrong(a, b):
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+        return [-conv[0]] if m == 1 else conv[:m]
+
+    monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: wrong)
+    assert not kernel_matches_fold(ell)
 
 
 @pytest.mark.parametrize("ell", REF_ELLS)

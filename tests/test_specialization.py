@@ -8,10 +8,10 @@ from functools import lru_cache
 import pytest
 
 from twisted_hecke.coeffring import ParamPoly, ParamRing
-from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
+from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
 from twisted_hecke.exprs import eval_hecke, eval_laurent, eval_scalar, parse
 from twisted_hecke.group import GroupElem
-from twisted_hecke.hecke import HeckeAlgebra, relation_a_terms, relation_b_terms
+from twisted_hecke.hecke import HeckeAlgebra, HeckeElem, relation_a_terms, relation_b_terms
 from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import random_hecke_elem
 
@@ -60,6 +60,65 @@ def test_specialized_kernels_agree_with_symbolic_ones_at_t(n, ell, texts):
     relation = {key: c.specialize(values) for key, c in Hs.center_relation_terms().items()}
     assert Ht.center_relation_terms() == {key: c for key, c in relation.items() if c}
     assert Ht.evaluate_F() == at_t(Ht, Hs.evaluate_F(), values)
+
+
+def random_hecke_elem_by_products(alg, rng, max_degree=3, max_terms=3):
+    """``random_hecke_elem`` as it was built through ParamPoly products: the
+    same draws, the coefficient multiplied by each drawn ring.t(i) and then
+    split."""
+    n, ell, ring = alg.n, alg.ell, alg.ring
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        d = rng.randint(0, max_degree)
+        p = [0] * n
+        for _ in range(d):
+            p[rng.randrange(n)] += 1
+        g = alg.codes.encode([rng.randrange(ell) for _ in range(n - 1)])
+        rat = Fraction(rng.choice((1, -1, 2, -2, 1, 3)), rng.choice((1, 1, 2)))
+        coeff = ring.from_cyclotomic(
+            Cyclotomic.from_rational(ell, rat).times_zeta(rng.randrange(ell))
+        )
+        for _ in range(rng.randint(0, 2)):
+            coeff = coeff * ring.t(rng.randint(1, n))
+        for tau, c in ring.split(coeff):
+            accumulate(terms, (tuple(p), g, tau), c)
+    return HeckeElem._new(alg, terms)
+
+
+@pytest.mark.parametrize("texts", [None, T_GENERIC, T_WITH_ZERO])
+@pytest.mark.parametrize("n,ell", POINTS)
+def test_random_elements_equal_the_product_construction(n, ell, texts):
+    # the same elements from the same draws, left in the same RNG state
+    H = HeckeAlgebra(n, ell, None if texts is None else t_at(n, ell, texts))
+    for seed in range(150):
+        rng, ref = random.Random(f"split:{seed}"), random.Random(f"split:{seed}")
+        for size in ((3, 3), (3, 2), (3, 1), (5, 4)):
+            a, b = random_hecke_elem(H, rng, *size), random_hecke_elem_by_products(H, ref, *size)
+            assert a == b
+        assert rng.getstate() == ref.getstate()
+
+
+def test_split_t_monomial_hands_out_the_unit_on_a_symbolic_t_monomial():
+    # 1 t_1 t_3 is stored with the ring's unit, the coefficient t(i) holds,
+    # which the product loop's ``is`` tests skip; a bare 1, or 1 times
+    # specialized t values, is a value like any other
+    symbolic, special = ParamRing(3, 3), ParamRing(3, 3, t_at(3, 3, T_GENERIC))
+    one = Cyclotomic.one(3)
+    assert one is not symbolic.unit
+    assert symbolic.split_t_monomial(one, [1, 3]) == (((1, 0, 1), one),)
+    assert symbolic.split_t_monomial(one, [1, 3])[0][1] is symbolic.unit
+    assert symbolic.split_t_monomial(one, [])[0][1] is one
+    assert special.split_t_monomial(one, [2])[0][1] == zeta_power(3, 1)
+    assert symbolic.split_t_monomial(Cyclotomic.zero(3), [2]) == ()
+    assert ParamRing(3, 3, t_at(3, 3, T_WITH_ZERO)).split_t_monomial(one, [1, 2]) == ()
+
+
+def test_split_t_monomial_rejects_an_index_out_of_range():
+    for ring in (ParamRing(3, 2), ParamRing(3, 2, t_at(3, 2, T_GENERIC))):
+        with pytest.raises(ValueError, match="out of range"):
+            ring.split_t_monomial(Cyclotomic.one(2), [1, 4])
+        with pytest.raises(ValueError, match="out of range"):
+            ring.split_t_monomial(Cyclotomic.one(2), [0])
 
 
 def built_coefficients(H, L):
