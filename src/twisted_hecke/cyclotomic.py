@@ -11,10 +11,10 @@ so a product is an integer product of numerators modulo Phi_ell and one gcd;
 ``fractions.Fraction`` appears only where values enter or leave (the
 constructor, ``from_rational``, ``coeffs``).
 
-The numerator product is a kernel per ell (``_kernel``), built from Phi_ell
-on first use: for phi(ell) <= 2 a closed form in two or four integers, and
-for larger phi(ell) an integer convolution reduced by the one integer fold,
-``_fold``, through which every other reduction past phi(ell) goes too.
+The numerator product is chosen per ell from Phi_ell on first use: a
+closed form in two or four integers when phi(ell) <= 2 (``_kernel``), and
+otherwise an integer convolution reduced by the one integer fold, ``_fold``,
+through which every other reduction past phi(ell) goes too.
 
 Working modulo Phi_ell rather than modulo z^ell - 1 makes the quotient a
 field: every nonzero element has an inverse (its Galois conjugates over its
@@ -99,62 +99,46 @@ def _degree(ell: int) -> int:
 
 @lru_cache(maxsize=None)
 def _kernel(ell: int):
-    """The product of two reduced integer numerators modulo Phi_ell, as a
-    function of the two sequences that returns phi(ell) integers.
+    """The product of two reduced integer numerators modulo Phi_ell as a
+    closed form, a function of the two sequences that returns the phi(ell)
+    integers of the product, when phi(ell) <= 2; None for larger phi(ell),
+    whose products are convolutions (``Cyclotomic._convolve``).
 
     phi(ell) = 1 (ell = 1, 2): Q(zeta) = Q and the product is a0 b0.
     phi(ell) = 2 (ell = 3, 4, 6): with Phi_ell = c0 + c1 z + z^2, z^2 =
     -c0 - c1 z, so (a0 + a1 z)(b0 + b1 z) = a0 b0 - c0 h + (a0 b1 + a1 b0 -
-    c1 h) z with h = a1 b1.  Larger phi(ell): the convolution reduced by
-    ``_fold``, and a rational factor (zero past its first place) just
-    scales the other, which is already reduced."""
+    c1 h) z with h = a1 b1."""
     m = _degree(ell)
     if m == 1:
         return lambda a, b: (a[0] * b[0],)
-    if m == 2:
-        c0, c1 = (int(c) for c in cyclotomic_polynomial(ell)[:2])
-
-        def product(a, b):
-            a0, a1 = a
-            b0, b1 = b
-            h = a1 * b1
-            return (a0 * b0 - c0 * h, a0 * b1 + a1 * b0 - c1 * h)
-
-        return product
+    if m > 2:
+        return None
+    c0, c1 = (int(c) for c in cyclotomic_polynomial(ell)[:2])
 
     def product(a, b):
-        if any(a[1:]):
-            a, b = b, a
-        if not any(a[1:]):
-            r = a[0]
-            return [r * y for y in b]
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    conv[j] += x * y
-        return _fold(ell, conv)
+        a0, a1 = a
+        b0, b1 = b
+        h = a1 * b1
+        return (a0 * b0 - c0 * h, a0 * b1 + a1 * b0 - c1 * h)
 
     return product
 
 
-def kernel_matches_fold(ell: int) -> bool:
-    """True when ``_kernel(ell)`` agrees with ``_fold`` of the integer
-    convolution on every basis pair z^i, z^j with i, j < phi(ell).
+def product_matches_fold(ell: int) -> bool:
+    """True when the product of Q(zeta) agrees with ``_fold`` of the integer
+    convolution on every basis pair zeta^i, zeta^j with i, j < phi(ell).
 
-    The closed forms and the convolution are Z-bilinear in the two
-    numerators, and the rational branch r b is the convolution of r z^0
-    with b, which is already reduced; so agreement on the basis pairs gives
-    agreement on every pair of numerators, and ``__mul__`` divides by the
-    same denominator either way."""
+    The closed forms of ``_kernel`` and the convolution are bilinear in the
+    two numerators, and the rational shortcut of ``_convolve`` scales a
+    numerator that is already reduced, as the folded convolution with r z^0
+    does; so agreement on the basis pairs gives agreement on every pair of
+    numerators, and the product divides by the same denominator either
+    way."""
     m = _degree(ell)
-    kernel = _kernel(ell)
     for i in range(m):
         for j in range(m):
-            a = [int(k == i) for k in range(m)]
-            b = [int(k == j) for k in range(m)]
             conv = [int(k == i + j) for k in range(2 * m - 1)]
-            if list(kernel(a, b)) != _fold(ell, conv):
+            if (zeta_power(ell, i) * zeta_power(ell, j)).num != tuple(_fold(ell, conv)):
                 return False
     return True
 
@@ -258,10 +242,35 @@ class Cyclotomic:
             if other is None:
                 return NotImplemented
         ell = self.ell
-        num = _kernel(ell)(self.num, other.num)
+        kernel = _kernel(ell)
+        if kernel is None:
+            return self._convolve(other)
+        num = kernel(self.num, other.num)
         return Cyclotomic._make(ell, *_lowest_terms(num, self.den * other.den))
 
     __rmul__ = __mul__
+
+    def _convolve(self, o: "Cyclotomic") -> "Cyclotomic":
+        """The product when phi(ell) >= 3: an integer convolution folded by
+        ``_fold``, or, when a factor is rational, the other scaled by it."""
+        x, y = (o, self) if any(self.num[1:]) else (self, o)
+        if not any(x.num[1:]):
+            # x is the rational r/x.den: scale y by it
+            r = x.num[0]
+            if not r:
+                return x
+            if r == 1 and x.den == 1:
+                return y
+            return Cyclotomic._make(y.ell, *_lowest_terms([r * c for c in y.num], x.den * y.den))
+        a, b = self.num, o.num
+        m = len(a)
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        num = _fold(self.ell, conv)
+        return Cyclotomic._make(self.ell, *_lowest_terms(num, self.den * o.den))
 
     def scale(self, c) -> "Cyclotomic":
         """Multiply by a scalar from Q(zeta), as ``ParamPoly.scale`` does, so
@@ -279,8 +288,9 @@ class Cyclotomic:
         k %= ell
         if not k:
             return self
-        if len(self.num) <= 2:
-            return Cyclotomic._make(ell, _kernel(ell)(self.num, _power_table(ell)[k]), self.den)
+        kernel = _kernel(ell)
+        if kernel is not None:
+            return Cyclotomic._make(ell, kernel(self.num, _power_table(ell)[k]), self.den)
         v = [0] * k
         v += self.num
         wrap = len(v) - ell

@@ -14,7 +14,7 @@ from twisted_hecke.cyclotomic import (
     _poly_divmod,
     accumulate,
     cyclotomic_polynomial,
-    kernel_matches_fold,
+    product_matches_fold,
     power_by_squaring,
     zeta_power,
 )
@@ -299,14 +299,15 @@ def test_times_zeta_matches_the_product(case):
 
 @pytest.mark.parametrize("ell", range(1, 31))
 def test_product_kernel_matches_the_fold_on_every_basis_pair(ell):
-    """The per-ell product kernel equals the folded convolution on every
-    pair z^i, z^j with i, j < phi(ell).  The closed forms (phi <= 2) and the
-    convolution are Q-bilinear, so agreement on a basis pair of each side
-    gives agreement on every pair of elements; the rational branch (phi >= 3)
-    scales the other factor, which is the folded convolution of r z^0 with
-    an already reduced numerator.  Each z^i z^j also matches the
-    Fraction-vector reference."""
-    assert kernel_matches_fold(ell)
+    """The product of Q(zeta), a closed form when phi(ell) <= 2 and a
+    convolution otherwise, equals the folded convolution on every pair
+    zeta^i, zeta^j with i, j < phi(ell).  Both forms are Q-bilinear in the
+    numerators, so agreement on a basis pair of each side gives agreement
+    on every pair of elements; the rational shortcut of the convolution
+    scales a numerator that is already reduced, as the folded convolution
+    by r z^0 does.  Each zeta^i zeta^j also matches the Fraction-vector
+    reference."""
+    assert product_matches_fold(ell)
     m = len(cyclotomic_polynomial(ell)) - 1
     for i in range(m):
         for j in range(m):
@@ -314,21 +315,28 @@ def test_product_kernel_matches_the_fold_on_every_basis_pair(ell):
             assert assert_canonical(got).coeffs == ref_reduce(ell, [0] * (i + j) + [1])
 
 
+def unfolded(a, b):
+    """The convolution of two numerators cut at len(a) places, unreduced."""
+    conv = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            conv[j] += x * y
+    return tuple(conv[: len(a)])
+
+
 @pytest.mark.parametrize("ell", [2, 3, 4, 6, 7])
-def test_a_wrong_kernel_fails_the_basis_pair_check(ell, monkeypatch):
-    # a kernel that cuts the convolution at phi(ell) without folding what
-    # lies past it, or flips the sign when phi(ell) = 1, fails the check
-    m = len(cyclotomic_polynomial(ell)) - 1
-
-    def wrong(a, b):
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b, i):
-                conv[j] += x * y
-        return [-conv[0]] if m == 1 else conv[:m]
-
-    monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: wrong)
-    assert not kernel_matches_fold(ell)
+def test_a_wrong_product_fails_the_basis_pair_check(ell, monkeypatch):
+    # a closed form (phi <= 2) or a convolution (phi = 6 at ell = 7) that
+    # drops what lies past phi(ell), or flips the sign when phi(ell) = 1
+    if ell == 2:
+        monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: lambda a, b: (-a[0] * b[0],))
+    elif ell < 7:
+        monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: unfolded)
+    else:
+        monkeypatch.setattr(
+            Cyclotomic, "_convolve", lambda x, y: Cyclotomic._make(ell, unfolded(x.num, y.num), 1)
+        )
+    assert not product_matches_fold(ell)
 
 
 @pytest.mark.parametrize("ell", REF_ELLS)
