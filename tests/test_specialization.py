@@ -63,9 +63,9 @@ def test_specialized_kernels_agree_with_symbolic_ones_at_t(n, ell, texts):
 
 
 def random_hecke_elem_by_products(alg, rng, max_degree=3, max_terms=3):
-    """``random_hecke_elem`` as it was built through ParamPoly products: the
-    same draws, the coefficient multiplied by each drawn ring.t(i) and then
-    split."""
+    """``random_hecke_elem`` built through ParamPoly products, the reference
+    for ``split_t_monomial``: the same draws, the coefficient multiplied by
+    each drawn ring.t(i) and then split."""
     n, ell, ring = alg.n, alg.ell, alg.ring
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
