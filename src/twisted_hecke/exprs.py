@@ -19,16 +19,23 @@ canonical renderings).  Syntax errors report the offset and what was
 expected.  At most ``MAX_NESTING`` parentheses and unary minus signs may
 be open at once, a bound the parser counts itself, so a too-deep input is
 the same error at the same position whatever the caller's stack depth.
+
+A parse tree is made of five node classes, ``Num``, ``Sym``, ``Neg``,
+``BinOp`` and ``Pow``, and each node is a frozen value: two nodes are equal
+when they are of the same class with equal fields (a node never equals a
+tuple or a node of another class, ``Neg(x) != Pow(x, 1)``), equal nodes hash
+equal, ``repr`` reads ``Sym(kind='x', index=1)``, assigning or deleting an
+attribute raises AttributeError, and a copy or pickle is an equal node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .cyclotomic import Cyclotomic, zeta_power
+from .record import FrozenRecord
 
 __all__ = [
     "MAX_NESTING",
@@ -60,33 +67,48 @@ class EvalError(ValueError):
 # -- parse trees ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+# each __init__ sets its fields one by one, with no loop: parser-roundtrip
+# builds tens of thousands of nodes per grid run
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Sym:
-    kind: str  # "x", "y", "g", "t", or "zeta"
-    index: int  # 0 for zeta
+class Num(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Sym(FrozenRecord):
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int):
+        _set(self, "kind", kind)  # "x", "y", "g", "t", or "zeta"
+        _set(self, "index", index)  # 0 for zeta
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*"
-    lhs: object
-    rhs: object
+class Neg(FrozenRecord):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
+class BinOp(FrozenRecord):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs, rhs):
+        _set(self, "op", op)  # "+", "-", "*"
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+
+class Pow(FrozenRecord):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base, exp: int):
+        _set(self, "base", base)
+        _set(self, "exp", exp)
 
 
 # every non-space character starts a token; one no other group takes is "bad"
@@ -286,7 +308,11 @@ def _eval_sym(alg, sym: Sym, exp: int):
     if not 1 <= i <= n:
         raise EvalError(f"{kind}{i} out of range 1..{n}")
     if kind == "t":
-        return alg.scalar(alg.ring.t(i) ** exp)
+        if exp < 0:
+            raise EvalError(f"negative exponent on t{i}")
+        # the ring's split of 1*t_i^exp keeps its unit as the coefficient
+        pairs = alg.ring.split_t_monomial(alg.ring.unit, [i] * exp)
+        return alg.elem_type._new(alg, {(alg._zero_p, 0, tau): c for tau, c in pairs})
     if kind == "g":
         return alg._term(alg._zero_p, alg.codes.generator(i, exp))
     return alg._gen_power(i, exp)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chebyshev
@@ -23,6 +22,7 @@ from .exprs import eval_hecke, eval_laurent, parse
 from .group import GroupElem, check_bounds, check_twist_rows, star_power
 from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, independence_exponents
 from .laurent import LaurentAlgebra
+from .record import FrozenRecord, Record
 
 __all__ = [
     "Config",
@@ -37,8 +37,7 @@ __all__ = [
 DEFAULT_GRID = tuple((n, ell) for n in (3, 4, 5) for ell in (2, 3, 4))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(FrozenRecord):
     """One verification configuration.
 
     ``t_values`` is None for symbolic deformation parameters or a tuple of
@@ -46,19 +45,28 @@ class Config:
     ``seed`` drives every randomized sample.
     """
 
-    n: int
-    ell: int
-    t_values: tuple | None = None
-    degree_bound: int = 8
-    seed: int = 0
+    __slots__ = ("n", "ell", "t_values", "degree_bound", "seed")
 
-    def __post_init__(self):
-        check_bounds(self.n, self.ell)
-        if self.t_values is not None and len(self.t_values) != self.n:
-            raise ValueError(f"expected {self.n} parameter values")
-        if self.degree_bound < 0:
+    def __init__(
+        self,
+        n: int,
+        ell: int,
+        t_values: tuple | None = None,
+        degree_bound: int = 8,
+        seed: int = 0,
+    ):
+        check_bounds(n, ell)
+        if t_values is not None and len(t_values) != n:
+            raise ValueError(f"expected {n} parameter values")
+        if degree_bound < 0:
             # a negative bound leaves the finite-evidence checks nothing to examine
-            raise ValueError(f"degree_bound must be >= 0, got {self.degree_bound}")
+            raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "ell", ell)
+        set_field(self, "t_values", t_values)
+        set_field(self, "degree_bound", degree_bound)
+        set_field(self, "seed", seed)
 
     def describe(self) -> dict:
         t = "sym" if self.t_values is None else [str(v) for v in self.t_values]
@@ -71,18 +79,27 @@ class Config:
         }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """One check's outcome.  ``cases`` is the number of cases the check
     covers: its samples, pairs, monomials, identities or terms (0 when
     skipped).  A failing check stops at its witness, which locates the case;
     a check that would pass with no cases fails with "examined nothing"."""
 
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    witness: str | None = None
-    ms: float = 0.0
-    cases: int = 0
+    __slots__ = ("name", "status", "witness", "ms", "cases")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # "pass" | "fail" | "skipped"
+        witness: str | None = None,
+        ms: float = 0.0,
+        cases: int = 0,
+    ):
+        self.name = name
+        self.status = status
+        self.witness = witness
+        self.ms = ms
+        self.cases = cases
 
 
 def _rng(cfg: Config, name: str) -> random.Random:

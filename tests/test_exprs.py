@@ -1,6 +1,8 @@
 """The expression language: parsing, errors, evaluation, round trips."""
 
+import copy
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -16,6 +18,7 @@ from twisted_hecke.exprs import (
     MAX_NESTING,
     BinOp,
     EvalError,
+    Neg,
     Num,
     ParseError,
     Pow,
@@ -56,6 +59,62 @@ def test_parse_precedence():
     # ^ binds tighter than *, which binds tighter than +
     tree = parse("x1 + x2*x3^2")
     assert tree == BinOp("+", Sym("x", 1), BinOp("*", Sym("x", 2), Pow(Sym("x", 3), 2)))
+
+
+def test_nodes_compare_by_exact_type_and_fields():
+    x = Sym("x", 1)
+    assert x == Sym("x", 1) and x != Sym("x", 2) and x != Sym("y", 1)
+    assert Neg(x) != Pow(x, 1)
+    assert Sym("x", 1) != ("x", 1)
+    assert Num(F(1)) != F(1)
+    assert x.__eq__(("x", 1)) is NotImplemented
+    assert Num(F(1)).__eq__(Sym("x", 1)) is NotImplemented
+    # a subclass is another type, whatever its fields
+    assert type("SubSym", (Sym,), {})("x", 1) != x
+    assert parse("x1 + 2*x2") == BinOp("+", x, BinOp("*", Num(F(2)), Sym("x", 2)))
+    assert parse("x1 + 2*x2") != parse("x1 - 2*x2")
+
+
+def test_equal_nodes_hash_equal():
+    assert hash(Sym("t", 2)) == hash(Sym("t", 2))
+    assert hash(parse("(x1 + x2)^2")) == hash(parse("( x1+x2 ) ^ 2"))
+    assert len({parse("-x1*g2"), parse("-x1 * g2"), parse("-(x1*g2)")}) == 2
+
+
+def test_node_reprs():
+    assert repr(parse("-x1 + 1/2*y2^-1")) == (
+        "BinOp(op='+', lhs=Neg(arg=Sym(kind='x', index=1)), rhs=BinOp(op='*', "
+        "lhs=Num(value=Fraction(1, 2)), rhs=Pow(base=Sym(kind='y', index=2), exp=-1)))"
+    )
+    assert repr(parse("(zeta - 3)^2")) == (
+        "Pow(base=BinOp(op='-', lhs=Sym(kind='zeta', index=0), "
+        "rhs=Num(value=Fraction(3, 1))), exp=2)"
+    )
+
+
+def test_nodes_are_frozen():
+    tree = parse("-x1^2 + 3")
+    for node, field in (
+        (tree, "op"),
+        (tree.lhs, "arg"),
+        (tree.lhs.arg, "exp"),
+        (tree.lhs.arg.base, "index"),
+        (tree.rhs, "value"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = None
+    assert tree == parse("-x1^2 + 3")
+
+
+def test_nodes_copy_and_pickle():
+    tree = parse("-x1^2*g2^-1 + 1/3*zeta")
+    assert copy.copy(tree) == tree and copy.deepcopy(tree) == tree
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(tree, protocol)) == tree
 
 
 def test_parse_negative_exponent_on_y():
@@ -258,10 +317,43 @@ def test_atoms_cost_no_algebra_product(monkeypatch):
     assert len(calls) == 1  # the product on the right
 
 
+def test_t_atoms_keep_the_ring_unit_and_their_values():
+    specialized = (Cyclotomic.from_rational(3, 2), zeta_power(3, 1), eval_scalar("-1/2", 3))
+    for t_values in (None, specialized):
+        H = HeckeAlgebra(3, 3, t_values)
+        L = LaurentAlgebra(3, 3, t_values)
+        for alg, evaluate in ((H, eval_hecke), (L, eval_laurent)):
+            ring = alg.ring
+            assert evaluate("t2^0", alg) == alg.one()
+            for i in (1, 3):
+                for k in (1, 2, 5):
+                    atom = evaluate(f"t{i}^{k}", alg)
+                    assert atom == alg.scalar(ring.t(i) ** k), (t_values, i, k)
+                    if t_values is None:
+                        ((key, c),) = atom.terms.items()
+                        assert key[2] == tuple(k if j == i - 1 else 0 for j in range(3))
+                        assert c is ring.unit
+                    else:
+                        assert atom == alg.scalar(t_values[i - 1] ** k)
+
+
+def test_t_atoms_with_a_negative_exponent_are_rejected():
+    # the parser never builds t^-1; a hand-built one is an error, not t^0
+    for t_values in (None, tuple(Cyclotomic.from_rational(2, q) for q in (2, 1, 3))):
+        for alg, evaluate in (
+            (HeckeAlgebra(3, 2, t_values), eval_hecke),
+            (LaurentAlgebra(3, 2, t_values), eval_laurent),
+        ):
+            for k in (-1, -2):
+                with pytest.raises(EvalError) as err:
+                    evaluate(Pow(Sym("t", 1), k), alg)
+                assert str(err.value) == "negative exponent on t1"
+
+
 @pytest.mark.parametrize(
     "text, mode, message",
     [
-        ("y1", "hecke", "y-generators are not valid in the Hecke algebra"),
+        ("y1", "hecke","y-generators are not valid in the Hecke algebra"),
         ("x1", "laurent", "x-generators are not valid in the Laurent algebra"),
         # the algebra is checked before the index
         ("x9", "laurent", "x-generators are not valid in the Laurent algebra"),

@@ -1,7 +1,9 @@
 """The verification suite and the command-line interface."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,12 @@ import pytest
 
 from twisted_hecke import chebyshev, crossed, group, hecke, laurent, suite
 from twisted_hecke.cli import main
-from twisted_hecke.cyclotomic import Cyclotomic
+from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.group import GroupElem, cocycle_identity_holds
 from twisted_hecke.hecke import HeckeAlgebra
 from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import (
+    CheckResult,
     Config,
     all_passed,
     run_grid,
@@ -80,6 +83,27 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["{'pass'}", "True"]
+
+
+COLD_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import twisted_hecke, twisted_hecke.cli
+sys.exit("dataclasses" in sys.modules)
+"""
+
+
+def test_import_loads_no_dataclasses():
+    # -I -S: no environment, user site or .pth preloads, so sys.modules holds
+    # only what the interpreter and the package import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", COLD_IMPORT, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or "dataclasses was imported"
 
 
 def test_sklyanin_skipped_off_n3():
@@ -285,6 +309,70 @@ def test_config_validation():
         Config(n=3, ell=2, t_values=(Cyclotomic.zero(2),))
     with pytest.raises(ValueError, match="degree_bound"):
         Config(n=3, ell=2, degree_bound=-1)
+
+
+def test_config_construction_defaults_and_messages():
+    cfg = Config(3, 2)
+    assert (cfg.n, cfg.ell, cfg.t_values, cfg.degree_bound, cfg.seed) == (3, 2, None, 8, 0)
+    t = tuple(zeta_power(3, k) for k in range(3))
+    assert Config(3, 3, t, 4, 7) == Config(seed=7, degree_bound=4, t_values=t, ell=3, n=3)
+    assert Config(3, 3, t, 4, 7).t_values is t
+    with pytest.raises(TypeError):
+        Config(3, 2, None, 8, 0, 1)
+    with pytest.raises(TypeError):
+        Config(3, 2, bound=8)
+    with pytest.raises(TypeError):
+        Config(3)
+    for args, kwargs, message in (
+        ((2, 2), {}, "n must be between 3 and 16, got 2"),
+        ((17, 2), {}, "n must be between 3 and 16, got 17"),
+        ((3, 1), {}, "ell must be >= 2, got 1"),
+        ((3, 2, (Cyclotomic.zero(2),)), {}, "expected 3 parameter values"),
+        ((3, 2), {"degree_bound": -1}, "degree_bound must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Config(*args, **kwargs)
+        assert str(err.value) == message
+
+
+def test_config_is_a_frozen_value():
+    cfg = Config(3, 2)
+    assert cfg == Config(n=3, ell=2, t_values=None, degree_bound=8, seed=0)
+    assert hash(cfg) == hash(Config(3, 2))
+    assert cfg != Config(3, 2, seed=1) and cfg != Config(3, 2, degree_bound=7)
+    assert cfg != (3, 2, None, 8, 0) and cfg.__eq__((3, 2, None, 8, 0)) is NotImplemented
+    assert repr(cfg) == "Config(n=3, ell=2, t_values=None, degree_bound=8, seed=0)"
+    t = (zeta_power(3, 1),) * 3
+    assert repr(Config(3, 3, t, 4, 7)) == (
+        "Config(n=3, ell=3, t_values=(Cyclotomic(3, zeta), Cyclotomic(3, zeta), "
+        "Cyclotomic(3, zeta)), degree_bound=4, seed=7)"
+    )
+    for field in ("n", "seed", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, 5)
+    assert cfg.seed == 0
+    assert copy.deepcopy(Config(3, 3, t, 4, 7)) == Config(3, 3, t, 4, 7)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(Config(3, 2, None, 4, 7), protocol)) == Config(3, 2, None, 4, 7)
+
+
+def test_check_result_is_a_mutable_record():
+    r = CheckResult("cocycle-identity", "pass")
+    assert (r.name, r.status, r.witness, r.ms, r.cases) == ("cocycle-identity", "pass", None, 0.0, 0)
+    assert r == CheckResult(name="cocycle-identity", status="pass", witness=None, ms=0.0, cases=0)
+    assert r != CheckResult("cocycle-identity", "pass", cases=1)
+    assert r.__eq__(("cocycle-identity", "pass", None, 0.0, 0)) is NotImplemented
+    assert repr(CheckResult("cocycle-identity", "fail", "g1", 1.5, 4)) == (
+        "CheckResult(name='cocycle-identity', status='fail', witness='g1', ms=1.5, cases=4)"
+    )
+    r.status, r.witness, r.cases = "fail", "g1", 4
+    assert r == CheckResult("cocycle-identity", "fail", "g1", 0.0, 4)
+    with pytest.raises(TypeError):
+        hash(r)
+    with pytest.raises(TypeError):
+        {r}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(r, protocol)) == r
 
 
 def test_degree_bound_zero_examines_cases(monkeypatch):
