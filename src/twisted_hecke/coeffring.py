@@ -58,6 +58,10 @@ class ParamPoly(SparseSum):
         self.ell = ell
         super().__init__(terms)
 
+    def __reduce__(self):
+        # a slotted class pickles at protocols 0 and 1 only through this
+        return ParamPoly, (self.n, self.ell, self.terms)
+
     def _like(self, terms: dict) -> "ParamPoly":
         new = object.__new__(ParamPoly)
         new.n = self.n

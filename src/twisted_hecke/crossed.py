@@ -21,8 +21,11 @@ graded multiplication of the Hecke algebra and, with p = 0, its left group
 step g (x^q h), which the deformation leaves alone; the case q = 0 is the
 right group step, c m^r k times g = alpha(k, g) c m^r (kg), that ends every
 product of either algebra.  The twist char(g, q) alpha(g, h) is zeta^z,
-with z read from the residues of g and h (``group.twist_exp``) and
-applied to a coefficient by ``times_zeta``, not by a general product.
+with z the sum of g's residues against the twist row of m^q h
+(``group.twist_exp`` and ``group.twist_row``, the row built once per right
+term) and applied to a coefficient by ``times_zeta``, not by a general
+product.  Every other coefficient product is the Q(zeta) product kernel
+of ell (``cyclotomic._kernel``), bound once per call.
 
 One loop, ``CrossedAlgebra._accumulate_product``, applies the law in every
 product: to two sums in ``crossed_mul``, to one left term at x^0 in H's
@@ -41,8 +44,10 @@ from __future__ import annotations
 from operator import add
 
 from .coeffring import ParamRing
-from .cyclotomic import SparseSum, accumulate, graded_lex_key, indexed_powers, render_terms
-from .group import GroupCodes, GroupElem, check_bounds, factors, twist_exp
+from .cyclotomic import (
+    SparseSum, _kernel, accumulate, graded_lex_key, indexed_powers, render_terms,
+)
+from .group import GroupCodes, GroupElem, check_bounds, factors, twist_exp, twist_row
 
 __all__ = ["CrossedElem", "CrossedAlgebra", "crossed_mul", "exponents_bounded"]
 
@@ -220,7 +225,9 @@ class CrossedAlgebra:
         """Add (sum of ca t^sigma m^p g)(sum of cb t^tau m^q h) into the term
         map ``out``; ``left`` and ``right`` are sized collections of
         ((exponents, group code, t-exponent), coeff) pairs, and each pair
-        adds zeta^z ca cb t^(sigma+tau) m^(p+q) (gh), z from ``twist_exp``.
+        adds zeta^z ca cb t^(sigma+tau) m^(p+q) (gh), z from ``twist_exp``
+        against the right term's ``twist_row``, built once per right term
+        that is not plain.
 
         Right terms are the outer loop.  A pair's z and group part are 0 and
         h when g is the identity, 0 and g when the right term is plain (h
@@ -229,34 +236,35 @@ class CrossedAlgebra:
         one.  Exponents that are ``_zero_p`` are not added, nor t-exponents
         that are the ring's ``t_zero`` (every t-exponent is, the empty
         tuple, when t is specialized), and every coefficient product is one
-        of Q(zeta).  With z = 0 no product is formed when a factor is the
-        ring's ``unit``.  With z != 0 one factor is shifted by zeta^z and
-        multiplies the other unless that is the unit: the left's when the
-        left has one term, shifted once per z for the whole call, else each
-        right term's, once per z for that term; a unit is not shifted but
-        the other factor is.  These ``is`` tests are shortcuts only: a zero
-        vector or a 1 that is another object takes the general path, to the
-        same result."""
+        of Q(zeta), made by its kernel ``_kernel(ell)``.  With z = 0 no
+        product is formed when a factor is the ring's ``unit``.  With z != 0
+        one factor is shifted by zeta^z and multiplies the other unless that
+        is the unit: the left's when the left has one term, shifted once per
+        z for the whole call, else each right term's, once per z for that
+        term; a unit is not shifted but the other factor is.  These ``is``
+        tests are shortcuts only: a zero vector or a 1 that is another
+        object takes the general path, to the same result."""
         ring, codes, ell = self.ring, self.codes, self.ell
         one, tz, zero, gmul = ring.unit, ring.t_zero, self._zero_p, codes.mul
+        mul = _kernel(ell)
         lone = len(left) == 1
         shifted: dict = {}  # the shifted factor zeta^z by z != 0
         for (q, h, tau), cb in right:
             plain = not h and q is zero
             if shifted and not lone:
                 shifted = {}
-            eh = codes[h]  # h's residues
+            row = None if plain else twist_row(q, codes[h])
             for (p, g, sigma), ca in left:
                 if not g:
                     z, k = 0, h
                 elif plain:
                     z, k = 0, g
                 else:
-                    z, k = twist_exp(codes[g], q, eh, ell), gmul(g, h)
+                    z, k = twist_exp(codes[g], row, ell), gmul(g, h)
                 r = p if q is zero else q if p is zero else tuple(map(add, p, q))
                 s = sigma if tau is tz else tau if sigma is tz else tuple(map(add, sigma, tau))
                 if not z:
-                    v = cb if ca is one else ca if cb is one else cb * ca
+                    v = cb if ca is one else ca if cb is one else mul(cb, ca)
                 else:
                     if lone:
                         f, m = ca, cb
@@ -268,7 +276,7 @@ class CrossedAlgebra:
                         fz = shifted.get(z)
                         if fz is None:
                             fz = shifted[z] = f.times_zeta(z)
-                        v = fz if m is one else fz * m
+                        v = fz if m is one else mul(fz, m)
                 accumulate(out, (r, k, s), v)
 
     def gen_g(self, i: int):

@@ -11,8 +11,9 @@ so a product is an integer product of numerators modulo Phi_ell and one gcd;
 ``fractions.Fraction`` appears only where values enter or leave (the
 constructor, ``from_rational``, ``coeffs``).
 
-The numerator product is chosen per ell from Phi_ell on first use: a
-closed form in two or four integers when phi(ell) <= 2 (``_kernel``), and
+The product is chosen per ell from Phi_ell on first use (``_kernel``): a
+closed form in two or four integers when phi(ell) <= 2 (``_closed_form``),
+with the gcd reduction and the new element built in the same call, and
 otherwise an integer convolution reduced by the one integer fold, ``_fold``,
 through which every other reduction past phi(ell) goes too.
 
@@ -98,7 +99,7 @@ def _degree(ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kernel(ell: int):
+def _closed_form(ell: int):
     """The product of two reduced integer numerators modulo Phi_ell as a
     closed form, a function of the two sequences that returns the phi(ell)
     integers of the product, when phi(ell) <= 2; None for larger phi(ell),
@@ -124,22 +125,62 @@ def _kernel(ell: int):
     return product
 
 
-def product_matches_fold(ell: int) -> bool:
-    """True when the product of Q(zeta) agrees with ``_fold`` of the integer
-    convolution on every basis pair zeta^i, zeta^j with i, j < phi(ell).
+@lru_cache(maxsize=None)
+def _kernel(ell: int):
+    """The product of two elements of Q(zeta), (x, y) -> x y in canonical
+    form, chosen per ell on first use: when phi(ell) <= 2 the numerators
+    multiply by ``_closed_form`` and the result is divided by its gcd with
+    the denominator in place; otherwise ``Cyclotomic._convolve``.  Every
+    product of Q(zeta) goes through it: ``Cyclotomic.__mul__`` after
+    coercion, and the crossed-product loop directly."""
+    form = _closed_form(ell)
+    if form is None:
+        return Cyclotomic._convolve
+    new = object.__new__
 
-    The closed forms of ``_kernel`` and the convolution are bilinear in the
-    two numerators, and the rational shortcut of ``_convolve`` scales a
-    numerator that is already reduced, as the folded convolution with r z^0
-    does; so agreement on the basis pairs gives agreement on every pair of
-    numerators, and the product divides by the same denominator either
-    way."""
+    def product(x, y):
+        num = form(x.num, y.num)
+        den = x.den * y.den
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple([a // g for a in num])
+                den //= g
+        z = new(Cyclotomic)
+        z.ell = ell
+        z.num = num
+        z.den = den
+        return z
+
+    return product
+
+
+def product_matches_fold(ell: int) -> bool:
+    """True when ``_kernel(ell)``, the product of Q(zeta), agrees with
+    ``_fold`` of the integer convolution on every basis pair zeta^i,
+    zeta^j with i, j < phi(ell), and also on (zeta^i / 2)(2 zeta^j), whose
+    numerator and denominator have the common factor 2 that the canonical
+    form divides out.
+
+    The closed forms of ``_closed_form`` and the convolution are bilinear
+    in the two numerators, and the rational shortcut of ``_convolve`` scales
+    a numerator that is already reduced, as the folded convolution with
+    r z^0 does; so agreement on the basis pairs gives agreement on every
+    pair of numerators, and the product divides by the same denominator
+    either way.  The halved pairs are an agreement test of that last step,
+    the reduction to lowest terms."""
     m = _degree(ell)
+    kernel = _kernel(ell)
     for i in range(m):
+        x = zeta_power(ell, i)
+        x_half = Cyclotomic._make(ell, x.num, 2)
         for j in range(m):
-            conv = [int(k == i + j) for k in range(2 * m - 1)]
-            if (zeta_power(ell, i) * zeta_power(ell, j)).num != tuple(_fold(ell, conv)):
-                return False
+            y = zeta_power(ell, j)
+            y_two = Cyclotomic._make(ell, tuple([2 * a for a in y.num]), 1)
+            conv = tuple(_fold(ell, [int(k == i + j) for k in range(2 * m - 1)]))
+            for got in (kernel(x, y), kernel(x_half, y_two)):
+                if (got.num, got.den) != (conv, 1):
+                    return False
     return True
 
 
@@ -164,6 +205,10 @@ class Cyclotomic:
         num = _fold(ell, [c.numerator * (den // c.denominator) for c in fracs])
         self.ell = ell
         self.num, self.den = _lowest_terms(num, den)
+
+    def __reduce__(self):
+        # a slotted class pickles at protocols 0 and 1 only through this
+        return Cyclotomic, (self.ell, self.coeffs)
 
     @classmethod
     def _make(cls, ell: int, num: tuple, den: int) -> "Cyclotomic":
@@ -241,12 +286,7 @@ class Cyclotomic:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        ell = self.ell
-        kernel = _kernel(ell)
-        if kernel is None:
-            return self._convolve(other)
-        num = kernel(self.num, other.num)
-        return Cyclotomic._make(ell, *_lowest_terms(num, self.den * other.den))
+        return _kernel(self.ell)(self, other)
 
     __rmul__ = __mul__
 
@@ -278,8 +318,8 @@ class Cyclotomic:
         return self * c
 
     def times_zeta(self, k: int) -> "Cyclotomic":
-        """self * zeta^k.  For phi(ell) <= 2 it is the kernel's product of
-        the numerator by the power table's row of z^k; for larger phi(ell)
+        """self * zeta^k.  For phi(ell) <= 2 it is the closed form's product
+        of the numerator by the power table's row of z^k; for larger phi(ell)
         the numerator rotates k places, from z^j to z^((j+k) mod ell) since
         z^ell = 1, and only the places from phi(ell) to ell - 1 fold.
         zeta^k is a unit of Z[zeta], so the numerator's gcd with den is
@@ -288,9 +328,9 @@ class Cyclotomic:
         k %= ell
         if not k:
             return self
-        kernel = _kernel(ell)
-        if kernel is not None:
-            return Cyclotomic._make(ell, kernel(self.num, _power_table(ell)[k]), self.den)
+        form = _closed_form(ell)
+        if form is not None:
+            return Cyclotomic._make(ell, form(self.num, _power_table(ell)[k]), self.den)
         v = [0] * k
         v += self.num
         wrap = len(v) - ell

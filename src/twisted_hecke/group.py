@@ -12,24 +12,27 @@ The 2-cocycle twisting all crossed products here is
     alpha(g^e, g^f) = zeta^(-(e_1 f_2 + e_2 f_3 + ... + e_(n-2) f_(n-1)))
 
 evaluated on residues; well-definedness modulo ell is a tested property.
-``action_char`` gives the scalar by which g acts on a monomial x^p.  Both
-exponents are linear in the second argument, so g has a twist row, the map
-(q, h) -> action_char_exp(g, q) + alpha_exp(g, h) mod ell, which
-``twist_exp`` evaluates for every product; ``check_twist_rows`` checks the
-generators' rows against the formulas and every row against the sum of the
-generator rows it is built from, which makes the twist bilinear.
+``action_char`` gives the scalar by which g acts on a monomial x^p.  The
+twist of a product (m^p g)(m^q h), action_char_exp(g, q) + alpha_exp(g, h)
+mod ell, is linear in g's residues e: it is e . r with r = ``twist_row(q,
+h.e)``, the right factor's row, which a product computes once per right
+term; ``twist_exp(e, r, ell)`` is that sum for each left term.
+``check_twist_rows`` reads the twist through the same two functions: it
+checks the generators' twists against the formulas and every element's
+against the sum of the generators' it is built from, which makes the twist
+bilinear.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add, mul, sub
+from operator import add, mul
 
 from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
 
 __all__ = [
     "GroupElem", "GroupCodes", "alpha", "alpha_exp", "action_char", "action_char_exp",
-    "twist_exp", "star_mul", "star_power", "all_elements", "check_twist_rows",
+    "twist_row", "twist_exp", "star_mul", "star_power", "all_elements", "check_twist_rows",
     "cocycle_identity_holds", "check_bounds", "factors",
 ]
 
@@ -190,11 +193,19 @@ def action_char_exp(g: GroupElem, p) -> int:
     return sum(e[k] * (p[k] - p[k + 1]) for k in range(len(e)))
 
 
-def twist_exp(e, q, f, ell: int) -> int:
-    """The twist of (m^p g)(m^q h), the zeta exponent of char(g, q) alpha(g, h)
-    mod ell, from the residues e of g and f of h: sum_k e_k (q_k - q_(k+1)) -
-    sum_k e_k f_(k+1).  Read by every product and by ``check_twist_rows``."""
-    return (sum(map(mul, e, map(sub, q, q[1:]))) - sum(map(mul, e, f[1:]))) % ell
+def twist_row(q, f) -> tuple:
+    """The twist row r of a right factor m^q h, from q and the residues f of
+    h: r_k = q_k - q_(k+1) - f_(k+1) (f_n = 0), so that the twist of
+    (m^p g)(m^q h), the zeta exponent of char(g, q) alpha(g, h), is
+    ``twist_exp(e, r, ell)`` for the residues e of g.  Read by every
+    product and by ``check_twist_rows``."""
+    return tuple([a - b - c for a, b, c in zip(q, q[1:], (*f[1:], 0))])
+
+
+def twist_exp(e, row, ell: int) -> int:
+    """The twist sum_k e_k r_k mod ell of a left factor with residues e
+    against the row r of a right factor (``twist_row``)."""
+    return sum(map(mul, e, row)) % ell
 
 
 def action_char(g: GroupElem, p) -> Cyclotomic:
@@ -226,10 +237,11 @@ def all_elements(n: int, ell: int):
 
 
 def check_twist_rows(n: int, ell: int, part: str):
-    """Check the char part or the alpha part of the twist rows every product
+    """Check the char part or the alpha part of the twist every product
     reads; returns (ok, witness, cases).  ``part`` is "char" or "alpha".
-    The row of g is the linear map twist_exp(g, ., .) on residues, read as the
-    products read it: twist_exp(g, e_j, 1) (char), twist_exp(g, 0, g_l) (alpha).
+    The row of g is its twists against the probes, read as the products
+    read them, through ``twist_row`` and ``twist_exp``: against m^(e_j) 1
+    (char) or m^0 g_l (alpha), each probe's twist row built once.
 
     (G) on g_1..g_(n-1) the entries equal the formulas, C_kj =
         action_char_exp(g_k, e_j) (n(n-1) entries) or A_kl =
@@ -249,16 +261,16 @@ def check_twist_rows(n: int, ell: int, part: str):
     gens = [GroupElem.generator(n, ell, k) for k in range(1, n)]
     if part == "char":
         args, formula = [tuple(int(i == j) for i in range(n)) for j in range(n)], action_char_exp
-        probes = [(q, (0,) * (n - 1)) for q in args]
+        probes = [twist_row(q, (0,) * (n - 1)) for q in args]
     elif part == "alpha":
         args, formula = gens, alpha_exp
-        probes = [((0,) * n, h.e) for h in gens]
+        probes = [twist_row((0,) * n, h.e) for h in gens]
     else:
         raise ValueError(f"part must be 'char' or 'alpha', got {part!r}")
     cases = len(gens) * len(args) + ell ** (n - 1)
 
     def read(e):
-        return [twist_exp(e, q, f, ell) for q, f in probes]
+        return [twist_exp(e, r, ell) for r in probes]
 
     rows = [read(g.e) for g in gens]
     for g, row in zip(gens, rows):

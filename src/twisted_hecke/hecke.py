@@ -245,7 +245,7 @@ class HeckeAlgebra(CrossedAlgebra):
 
         where delta = (1,..,1), eps_i lowers positions i and i+1 (mod n),
         and the group factors multiply in H, which reads alpha through
-        ``twist_exp`` as every product does.
+        ``twist_row`` and ``twist_exp`` as every product does.
         """
         pows = self._w_pows
         if len(pows) == 1:

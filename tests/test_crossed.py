@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from twisted_hecke import crossed
 from twisted_hecke.crossed import exponents_bounded
 from twisted_hecke.cyclotomic import Cyclotomic, accumulate, zeta_power
 from twisted_hecke.exprs import eval_hecke, eval_laurent, eval_scalar
@@ -241,13 +242,25 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
     assert any(ca is one and z for ca, z, _ in pairs)  # cb shifted, no product
     expected = sum(1 for ca, _, cb in pairs if ca is not one and cb is not one)
     assert expected < len(pairs)
+    # the loop binds crossed._kernel(ell) once per call; a product through
+    # Cyclotomic.__mul__ would be counted as well
     calls = []
-    original = Cyclotomic.__mul__
+    kernel, original = crossed._kernel, Cyclotomic.__mul__
 
     def counting(x, y):
         calls.append(1)
         return original(x, y)
 
+    def counting_kernel(ell):
+        field_mul = kernel(ell)
+
+        def product(x, y):
+            calls.append(1)
+            return field_mul(x, y)
+
+        return product
+
+    monkeypatch.setattr(crossed, "_kernel", counting_kernel)
     monkeypatch.setattr(Cyclotomic, "__mul__", counting)
     product = L.lmul(a, b)
     assert len(calls) == expected

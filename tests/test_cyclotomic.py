@@ -1,5 +1,6 @@
 """Exactness and field structure of the cyclotomic arithmetic."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +12,7 @@ from twisted_hecke.coeffring import ParamRing
 from twisted_hecke import cyclotomic
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
+    _fold,
     _poly_divmod,
     accumulate,
     cyclotomic_polynomial,
@@ -329,14 +331,52 @@ def test_a_wrong_product_fails_the_basis_pair_check(ell, monkeypatch):
     # a closed form (phi <= 2) or a convolution (phi = 6 at ell = 7) that
     # drops what lies past phi(ell), or flips the sign when phi(ell) = 1
     if ell == 2:
-        monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: lambda a, b: (-a[0] * b[0],))
-    elif ell < 7:
-        monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: unfolded)
+        def wrong(x, y):
+            return Cyclotomic._make(ell, (-x.num[0] * y.num[0],), x.den * y.den)
     else:
-        monkeypatch.setattr(
-            Cyclotomic, "_convolve", lambda x, y: Cyclotomic._make(ell, unfolded(x.num, y.num), 1)
-        )
+        def wrong(x, y):
+            return Cyclotomic._make(ell, unfolded(x.num, y.num), x.den * y.den)
+    monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: wrong)
     assert not product_matches_fold(ell)
+
+
+def unreduced(x, y):
+    """The product as the folded convolution over x.den * y.den, with the
+    common factor of numerator and denominator left in."""
+    conv = [0] * (2 * len(x.num) - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num, i):
+            conv[j] += a * b
+    return Cyclotomic._make(x.ell, tuple(_fold(x.ell, conv)), x.den * y.den)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 6, 7, 12])
+def test_a_product_left_out_of_lowest_terms_fails_the_kernel_check(ell, monkeypatch):
+    # right on every basis pair, whose denominator is 1, so only the halved
+    # pairs of the check see that the gcd step is missing
+    m = len(cyclotomic_polynomial(ell)) - 1
+    for i in range(m):
+        for j in range(m):
+            x, y = zeta_power(ell, i), zeta_power(ell, j)
+            assert unreduced(x, y) == x * y
+    monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: unreduced)
+    assert not product_matches_fold(ell)
+
+
+@pytest.mark.parametrize("ell", range(1, 31))
+def test_kernel_products_with_denominators_match_the_reference(ell):
+    # random elements over denominators up to 6, and each pair again as
+    # (x/2)(2y), whose product must come out in lowest terms
+    rng = random.Random(ell)
+    kernel = cyclotomic._kernel(ell)
+    m = len(cyclotomic_polynomial(ell)) - 1
+    for _ in range(12):
+        cx, cy = ([F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)] for _ in "xy")
+        x, y = Cyclotomic(ell, cx), Cyclotomic(ell, cy)
+        expected = ref_reduce(ell, ref_mul(cx, cy))
+        for a, b in ((x, y), (x * F(1, 2), y * 2), (y * F(1, 2), x * 2)):
+            assert assert_canonical(kernel(a, b)).coeffs == expected
+            assert assert_canonical(a * b).coeffs == expected
 
 
 @pytest.mark.parametrize("ell", REF_ELLS)

@@ -172,8 +172,8 @@ def test_cocycle_checks_reject_a_non_cocycle(n, ell, monkeypatch):
 def cocycle_holds_on_pairs(n, ell):
     """The |G|^2 pair sweep the row check replaces, through the current
     bindings: with A_kl = alpha_exp(g_k, g_l), alpha_exp(g^e, g^f) equals
-    sum e_k f_l A_kl and the exponent products read, twist_exp on the
-    residues of g, 0 and h,
+    sum e_k f_l A_kl and the exponent products read, twist_exp of the
+    residues of g against the twist row of 0 and h,
     equals alpha_exp(g, h) on every pair (mod ell)."""
     gens = [gen(n, ell, i) for i in range(1, n)]
     gram = [[group.alpha_exp(a, b) for b in gens] for a in gens]
@@ -183,7 +183,7 @@ def cocycle_holds_on_pairs(n, ell):
         row = [sum(ek * col[l] for ek, col in zip(g.e, gram)) for l in range(n - 1)]
         for h in elems:
             a = group.alpha_exp(g, h)
-            z = group.twist_exp(g.e, zero, h.e, ell)
+            z = group.twist_exp(g.e, group.twist_row(zero, h.e), ell)
             if (a - sum(map(mul, row, h.e))) % ell or (z - a) % ell:
                 return False
     return True
@@ -192,7 +192,7 @@ def cocycle_holds_on_pairs(n, ell):
 def action_laws_hold(n, ell):
     """Exhaustive reference for the action check: for every g, h in G, p in
     {-1, 0, 1}^n and unit vectors q, the exponent products read,
-    z(g, p) = twist_exp(g, p, 1), equals action_char_exp(g, p) and satisfies
+    z(g, p) = twist_exp(g, twist_row(p, 1)), equals action_char_exp(g, p) and satisfies
     z(g, p + q) = z(g, p) + z(g, q) and z(gh, q) = z(g, q) + z(h, q) (mod ell)."""
     one = GroupElem.identity(n, ell)
     elems = list(all_elements(n, ell))
@@ -200,7 +200,7 @@ def action_laws_hold(n, ell):
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
     def z(g, p):
-        return group.twist_exp(g.e, p, one.e, ell)
+        return group.twist_exp(g.e, group.twist_row(p, one.e), ell)
 
     for g in elems:
         for p in box:
@@ -245,15 +245,16 @@ def test_twist_checks_and_references_agree_on_corruptions(n, ell, corruption, mo
         monkeypatch.setattr(group, "alpha_exp", lambda g, h: real(g, h) + (g == g1 == h))
         broken = {"rows-alpha", "pairs", "triples"}
     else:
-        # off by one in the last entry of both vectors of a generator's row,
-        # which (G) sees, or of a row only (L) sees; the formulas the triples
-        # read are untouched
+        # off by the sum of the twist row's entries, q_1 - q_n - f_2 - ... -
+        # f_(n-1), which a char probe and an alpha probe both reach, for one
+        # left factor: a generator, which (G) sees, or an element only (L)
+        # sees; the formulas the triples read are untouched
         target = g1 if corruption == "g1-row" else g1 * g2
         real = group.twist_exp
         monkeypatch.setattr(
             group,
             "twist_exp",
-            lambda e, q, f, ell: real(e, q, f, ell) + (e == target.e) * (q[-1] + f[-1]),
+            lambda e, row, ell: real(e, row, ell) + (e == target.e) * sum(row),
         )
         broken = {"rows-alpha", "pairs", "rows-char", "action"}
     verdicts = twist_verdicts(n, ell)

@@ -6,12 +6,14 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from twisted_hecke import chebyshev, crossed, group, hecke, laurent, suite
 from twisted_hecke.cli import main
+from twisted_hecke.coeffring import ParamRing
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
 from twisted_hecke.group import GroupElem, cocycle_identity_holds
 from twisted_hecke.hecke import HeckeAlgebra
@@ -106,6 +108,28 @@ def test_import_loads_no_dataclasses():
     assert proc.returncode == 0, proc.stderr or "dataclasses was imported"
 
 
+COLD_KERNELS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import twisted_hecke, twisted_hecke.cli
+from twisted_hecke.cyclotomic import _kernel
+sys.exit(_kernel.cache_info().currsize)
+"""
+
+
+def test_import_builds_no_product_kernel():
+    # the per-ell products are built on first use, not by importing the
+    # package, so a cold start pays for none of them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", COLD_KERNELS, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or f"{proc.returncode} kernels built at import"
+
+
 def test_sklyanin_skipped_off_n3():
     results = run_suite(Config(n=4, ell=2))
     assert all_passed(results)
@@ -183,12 +207,13 @@ def test_a_check_that_examines_nothing_fails(monkeypatch):
 
 
 def test_twist_checks_reject_a_corrupted_row(monkeypatch):
-    # off by one in both vectors of g1's row, as the twist checks read it
+    # g1's twist off by the sum of the twist row's entries, which a char
+    # probe and an alpha probe both reach, as the twist checks read it
     n, ell = 3, 2
     g1 = GroupElem.generator(n, ell, 1)
     real = group.twist_exp
     monkeypatch.setattr(
-        group, "twist_exp", lambda e, q, f, ell: real(e, q, f, ell) + (e == g1.e) * (q[-1] + f[-1])
+        group, "twist_exp", lambda e, row, ell: real(e, row, ell) + (e == g1.e) * sum(row)
     )
     assert not cocycle_identity_holds(n, ell)
     by_name = {r.name: r.status for r in run_suite(Config(n=n, ell=ell))}
@@ -352,10 +377,23 @@ def test_config_is_a_frozen_value():
             setattr(cfg, field, 5)
     assert cfg.seed == 0
     assert copy.deepcopy(Config(3, 3, t, 4, 7)) == Config(3, 3, t, 4, 7)
-    # Cyclotomic pickles at protocols 0 and 1 fail, so these t_values are None
     other = Config(3, 2, None, 4, 7)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(other, protocol)) == other
+
+
+def test_scalars_and_a_config_with_t_values_pickle_at_every_protocol():
+    # Cyclotomic and ParamPoly are slotted, so protocols 0 and 1 need their
+    # __reduce__; a Config pickles its t_values with it
+    ring = ParamRing(3, 4)
+    x = Cyclotomic(4, [Fraction(-2, 3), Fraction(5, 6)])
+    p = ring.t(1).scale(x) + ring.t(2) * ring.t(3) + ring.from_cyclotomic(zeta_power(4, 1))
+    cfg = Config(3, 3, (zeta_power(3, 1), Cyclotomic(3, [Fraction(1, 2)]), zeta_power(3, 2)))
+    for value in (x, zeta_power(7, 3), Cyclotomic.zero(5), p, ring.zero(), cfg):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value
+            assert hash(back) == hash(value) and str(back) == str(value)
 
 
 def test_check_result_is_a_mutable_record():
