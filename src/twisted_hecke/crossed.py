@@ -23,9 +23,9 @@ right group step, c m^r k times g = alpha(k, g) c m^r (kg), that ends every
 product of either algebra.  The twist char(g, q) alpha(g, h) is zeta^z,
 with z the sum of g's residues against the twist row of m^q h
 (``group.twist_exp`` and ``group.twist_row``, the row built once per right
-term) and applied to a coefficient by ``times_zeta``, not by a general
-product.  Every other coefficient product is the Q(zeta) product kernel
-of ell (``cyclotomic._kernel``), bound once per call.
+term) and applied to a coefficient by ``times_zeta``.  Every other
+coefficient product is the Q(zeta) product kernel of ell
+(``cyclotomic._kernel``), bound once per call.
 
 One loop, ``CrossedAlgebra._accumulate_product``, applies the law in every
 product: to two sums in ``crossed_mul``, to one left term at x^0 in H's

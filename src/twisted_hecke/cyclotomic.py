@@ -12,10 +12,10 @@ so a product is an integer product of numerators modulo Phi_ell and one gcd;
 constructor, ``from_rational``, ``coeffs``).
 
 The product is chosen per ell from Phi_ell on first use (``_kernel``): a
-closed form in two or four integers when phi(ell) <= 2 (``_closed_form``),
-with the gcd reduction and the new element built in the same call, and
-otherwise an integer convolution reduced by the one integer fold, ``_fold``,
-through which every other reduction past phi(ell) goes too.
+closed form in two or four integers when phi(ell) <= 2, with the gcd
+reduction and the new element built in the same call, and otherwise an
+integer convolution reduced by the one integer fold, ``_fold``, through
+which every other reduction past phi(ell) goes too.
 
 Working modulo Phi_ell rather than modulo z^ell - 1 makes the quotient a
 field: every nonzero element has an inverse (its Galois conjugates over its
@@ -99,56 +99,45 @@ def _degree(ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _closed_form(ell: int):
-    """The product of two reduced integer numerators modulo Phi_ell as a
-    closed form, a function of the two sequences that returns the phi(ell)
-    integers of the product, when phi(ell) <= 2; None for larger phi(ell),
-    whose products are convolutions (``Cyclotomic._convolve``).
-
-    phi(ell) = 1 (ell = 1, 2): Q(zeta) = Q and the product is a0 b0.
-    phi(ell) = 2 (ell = 3, 4, 6): with Phi_ell = c0 + c1 z + z^2, z^2 =
-    -c0 - c1 z, so (a0 + a1 z)(b0 + b1 z) = a0 b0 - c0 h + (a0 b1 + a1 b0 -
-    c1 h) z with h = a1 b1."""
-    m = _degree(ell)
-    if m == 1:
-        return lambda a, b: (a[0] * b[0],)
-    if m > 2:
-        return None
-    c0, c1 = (int(c) for c in cyclotomic_polynomial(ell)[:2])
-
-    def product(a, b):
-        a0, a1 = a
-        b0, b1 = b
-        h = a1 * b1
-        return (a0 * b0 - c0 * h, a0 * b1 + a1 * b0 - c1 * h)
-
-    return product
-
-
-@lru_cache(maxsize=None)
 def _kernel(ell: int):
     """The product of two elements of Q(zeta), (x, y) -> x y in canonical
-    form, chosen per ell on first use: when phi(ell) <= 2 the numerators
-    multiply by ``_closed_form`` and the result is divided by its gcd with
-    the denominator in place; otherwise ``Cyclotomic._convolve``.  Every
-    product of Q(zeta) goes through it: ``Cyclotomic.__mul__`` after
-    coercion, and the crossed-product loop directly."""
-    form = _closed_form(ell)
-    if form is None:
+    form, chosen per ell on first use.  Every product of Q(zeta) goes
+    through it: ``Cyclotomic.__mul__`` after coercion, ``times_zeta`` and
+    the crossed-product loop directly.
+
+    phi(ell) >= 3: ``Cyclotomic._convolve``.  phi(ell) = 1 (ell = 1, 2):
+    Q(zeta) = Q and the product is a0 b0 in lowest terms.  phi(ell) = 2
+    (ell = 3, 4, 6): with Phi_ell = c0 + c1 z + z^2, z^2 = -c0 - c1 z, so
+    (a0 + a1 z)(b0 + b1 z) = a0 b0 - c0 h + (a0 b1 + a1 b0 - c1 h) z with
+    h = a1 b1, whose gcd with the denominator is divided out in the same
+    call, which also builds the new element."""
+    phi = cyclotomic_polynomial(ell)
+    m = len(phi) - 1
+    if m > 2:
         return Cyclotomic._convolve
+    if m == 1:
+        return lambda x, y: Cyclotomic._make(
+            ell, *_lowest_terms((x.num[0] * y.num[0],), x.den * y.den)
+        )
+    c0, c1 = (int(c) for c in phi[:2])
     new = object.__new__
 
     def product(x, y):
-        num = form(x.num, y.num)
+        a0, a1 = x.num
+        b0, b1 = y.num
+        h = a1 * b1
+        u = a0 * b0 - c0 * h
+        v = a0 * b1 + a1 * b0 - c1 * h
         den = x.den * y.den
         if den != 1:
-            g = gcd(den, *num)
+            g = gcd(den, u, v)
             if g != 1:
-                num = tuple([a // g for a in num])
+                u //= g
+                v //= g
                 den //= g
         z = new(Cyclotomic)
         z.ell = ell
-        z.num = num
+        z.num = (u, v)
         z.den = den
         return z
 
@@ -162,10 +151,10 @@ def product_matches_fold(ell: int) -> bool:
     numerator and denominator have the common factor 2 that the canonical
     form divides out.
 
-    The closed forms of ``_closed_form`` and the convolution are bilinear
-    in the two numerators, and the rational shortcut of ``_convolve`` scales
-    a numerator that is already reduced, as the folded convolution with
-    r z^0 does; so agreement on the basis pairs gives agreement on every
+    The closed forms of ``_kernel`` and the convolution are bilinear in the
+    two numerators, and the rational shortcut of ``_convolve`` scales a
+    numerator that is already reduced, as the folded convolution with r z^0
+    does; so agreement on the basis pairs gives agreement on every
     pair of numerators, and the product divides by the same denominator
     either way.  The halved pairs are an agreement test of that last step,
     the reduction to lowest terms."""
@@ -318,21 +307,21 @@ class Cyclotomic:
         return self * c
 
     def times_zeta(self, k: int) -> "Cyclotomic":
-        """self * zeta^k.  For phi(ell) <= 2 it is the closed form's product
-        of the numerator by the power table's row of z^k; for larger phi(ell)
-        the numerator rotates k places, from z^j to z^((j+k) mod ell) since
-        z^ell = 1, and only the places from phi(ell) to ell - 1 fold.
-        zeta^k is a unit of Z[zeta], so the numerator's gcd with den is
-        unchanged and stays 1."""
-        ell = self.ell
+        """self * zeta^k.  zeta^k is a unit of Z[zeta], so the numerator's
+        gcd with den is unchanged and stays 1.  For phi(ell) <= 2 it is the
+        kernel's product by zeta^k, whose one gcd (when den != 1) costs less
+        than the calls that would skip it; for larger phi(ell) the numerator
+        rotates k places, from z^j to z^((j+k) mod ell) since z^ell = 1,
+        only the places from phi(ell) to ell - 1 fold, and no gcd is
+        formed."""
+        ell, num = self.ell, self.num
         k %= ell
         if not k:
             return self
-        form = _closed_form(ell)
-        if form is not None:
-            return Cyclotomic._make(ell, form(self.num, _power_table(ell)[k]), self.den)
+        if len(num) <= 2:  # phi(ell) <= 2
+            return _kernel(ell)(self, Cyclotomic._make(ell, _power_table(ell)[k], 1))
         v = [0] * k
-        v += self.num
+        v += num
         wrap = len(v) - ell
         if wrap > 0:
             # the places past z^(ell-1) move to the front, where v is zero
