@@ -154,10 +154,10 @@ def product_matches_fold(ell: int) -> bool:
     The closed forms of ``_kernel`` and the convolution are bilinear in the
     two numerators, and the rational shortcut of ``_convolve`` scales a
     numerator that is already reduced, as the folded convolution with r z^0
-    does; so agreement on the basis pairs gives agreement on every
-    pair of numerators, and the product divides by the same denominator
-    either way.  The halved pairs are an agreement test of that last step,
-    the reduction to lowest terms."""
+    does; so agreement on the basis pairs gives agreement on every pair of
+    numerators, and the product divides by the same denominator either
+    way.  The halved pairs are an agreement test of that last step, the
+    reduction to lowest terms."""
     m = _degree(ell)
     kernel = _kernel(ell)
     for i in range(m):
