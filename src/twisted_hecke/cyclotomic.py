@@ -74,6 +74,13 @@ def _power_table(ell: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _zeta_table(ell: int) -> tuple["Cyclotomic", ...]:
+    """zeta^k as elements for 0 <= k < ell, the right factors of
+    ``times_zeta`` when phi(ell) <= 2."""
+    return tuple(Cyclotomic._make(ell, row, 1) for row in _power_table(ell))
+
+
 def _fold(ell: int, v: list) -> list:
     """Reduce the integer coordinates v, ascending in z and of any length,
     modulo Phi_ell in place and return v: each coordinate at z^k with
@@ -309,17 +316,17 @@ class Cyclotomic:
     def times_zeta(self, k: int) -> "Cyclotomic":
         """self * zeta^k.  zeta^k is a unit of Z[zeta], so the numerator's
         gcd with den is unchanged and stays 1.  For phi(ell) <= 2 it is the
-        kernel's product by zeta^k, whose one gcd (when den != 1) costs less
-        than the calls that would skip it; for larger phi(ell) the numerator
-        rotates k places, from z^j to z^((j+k) mod ell) since z^ell = 1,
-        only the places from phi(ell) to ell - 1 fold, and no gcd is
-        formed."""
+        kernel's product by zeta^k, taken from ``_zeta_table``, whose one
+        gcd (when den != 1) costs less than the calls that would skip it;
+        for larger phi(ell) the numerator rotates k places, from z^j to
+        z^((j+k) mod ell) since z^ell = 1, only the places from phi(ell) to
+        ell - 1 fold, and no gcd is formed."""
         ell, num = self.ell, self.num
         k %= ell
         if not k:
             return self
         if len(num) <= 2:  # phi(ell) <= 2
-            return _kernel(ell)(self, Cyclotomic._make(ell, _power_table(ell)[k], 1))
+            return _kernel(ell)(self, _zeta_table(ell)[k])
         v = [0] * k
         v += num
         wrap = len(v) - ell

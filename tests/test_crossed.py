@@ -213,6 +213,23 @@ def test_rewriting_caches_hold_no_group_element():
             assert len(key) == 2 and all(map(is_exponent_data, key))
 
 
+def count_loop_products(monkeypatch, calls):
+    """Append 1 to ``calls`` for each Q(zeta) product the crossed-product
+    loop makes through the kernel it binds, ``crossed._kernel(ell)``."""
+    kernel = crossed._kernel
+
+    def counting_kernel(ell):
+        field_mul = kernel(ell)
+
+        def product(x, y):
+            calls.append(1)
+            return field_mul(x, y)
+
+        return product
+
+    monkeypatch.setattr(crossed, "_kernel", counting_kernel)
+
+
 def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
     # with t specialised every coefficient is one term, so a term pair costs
     # one Q(zeta) product, and none when ca or cb is the ring's one object:
@@ -242,25 +259,15 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
     assert any(ca is one and z for ca, z, _ in pairs)  # cb shifted, no product
     expected = sum(1 for ca, _, cb in pairs if ca is not one and cb is not one)
     assert expected < len(pairs)
-    # the loop binds crossed._kernel(ell) once per call; a product through
-    # Cyclotomic.__mul__ would be counted as well
+    # a product through Cyclotomic.__mul__ would be counted as well
     calls = []
-    kernel, original = crossed._kernel, Cyclotomic.__mul__
+    original = Cyclotomic.__mul__
 
     def counting(x, y):
         calls.append(1)
         return original(x, y)
 
-    def counting_kernel(ell):
-        field_mul = kernel(ell)
-
-        def product(x, y):
-            calls.append(1)
-            return field_mul(x, y)
-
-        return product
-
-    monkeypatch.setattr(crossed, "_kernel", counting_kernel)
+    count_loop_products(monkeypatch, calls)
     monkeypatch.setattr(Cyclotomic, "__mul__", counting)
     product = L.lmul(a, b)
     assert len(calls) == expected
@@ -280,6 +287,7 @@ def test_hecke_product_forms_no_coefficient_product_by_one(specialised, monkeypa
     for cls in {Cyclotomic, type(H.ring.one())}:
         original = cls.__mul__
         monkeypatch.setattr(cls, "__mul__", lambda x, y, f=original: calls.append(1) or f(x, y))
+    count_loop_products(monkeypatch, calls)
     products = [H.mul(x1, x2), H.mul(g2, x2), H.mul(x1, g1)]
     assert calls == []
     monkeypatch.undo()
@@ -530,17 +538,21 @@ def test_one_monomial_with_two_t_monomials(specialised):
 
 
 def count_calls(monkeypatch, names):
-    """Count Cyclotomic calls of the methods ``names``, by name."""
-    counts = dict.fromkeys(names, 0)
+    """Record Cyclotomic calls of the methods ``names``, one list of calls
+    by name; the products the crossed-product loop makes through its
+    kernel are recorded as calls of ``__mul__``."""
+    calls: dict = {name: [] for name in names}
     for name in names:
         original = getattr(Cyclotomic, name)
 
         def counting(x, y, name=name, original=original):
-            counts[name] += 1
+            calls[name].append(1)
             return original(x, y)
 
         monkeypatch.setattr(Cyclotomic, name, counting)
-    return counts
+    if "__mul__" in names:
+        count_loop_products(monkeypatch, calls["__mul__"])
+    return calls
 
 
 @pytest.mark.parametrize("specialised", [False, True])
@@ -594,10 +606,11 @@ def test_warm_products_make_no_more_field_work_than_before(specialised, monkeypa
     rng = random.Random(0)
     pairs = [(random_hecke_elem(H, rng), random_hecke_elem(H, rng)) for _ in range(300)]
     first = [H.mul(a, b) for a, b in pairs]
-    counts = count_calls(monkeypatch, ["times_zeta", "__mul__"])
+    calls = count_calls(monkeypatch, ["times_zeta", "__mul__"])
     second = [H.mul(a, b) for a, b in pairs]
     monkeypatch.undo()
     assert second == first
+    counts = {name: len(c) for name, c in calls.items()}
     shifts, products = BEFORE_ONE_LOOP[specialised]
     assert counts["__mul__"] <= products
     assert counts["times_zeta"] + counts["__mul__"] <= shifts + products

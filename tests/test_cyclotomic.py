@@ -12,7 +12,6 @@ from twisted_hecke.coeffring import ParamRing
 from twisted_hecke import cyclotomic
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
-    _fold,
     _poly_divmod,
     accumulate,
     cyclotomic_polynomial,
@@ -326,41 +325,31 @@ def unfolded(a, b):
     return tuple(conv[: len(a)])
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4, 6, 7])
+def unreduced(x, y):
+    """The product of ``Cyclotomic._convolve`` on the two numerators, over
+    x.den * y.den with the common factor left in."""
+    ell = x.ell
+    p = Cyclotomic._convolve(Cyclotomic._make(ell, x.num, 1), Cyclotomic._make(ell, y.num, 1))
+    return Cyclotomic._make(ell, p.num, x.den * y.den)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 6, 7, 12])
 def test_a_wrong_product_fails_the_basis_pair_check(ell, monkeypatch):
-    # a closed form (phi <= 2) or a convolution (phi = 6 at ell = 7) that
-    # drops what lies past phi(ell), or flips the sign when phi(ell) = 1
-    if ell == 2:
+    # a closed form (phi <= 2) or a convolution (phi >= 4) that drops what
+    # lies past phi(ell), or flips the sign when phi(ell) = 1; and a product
+    # left out of lowest terms, right on every basis pair, whose
+    # denominator is 1, so only the halved pairs of the check see it
+    if ell <= 2:
         def wrong(x, y):
             return Cyclotomic._make(ell, (-x.num[0] * y.num[0],), x.den * y.den)
     else:
         def wrong(x, y):
             return Cyclotomic._make(ell, unfolded(x.num, y.num), x.den * y.den)
-    monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: wrong)
-    assert not product_matches_fold(ell)
-
-
-def unreduced(x, y):
-    """The product as the folded convolution over x.den * y.den, with the
-    common factor of numerator and denominator left in."""
-    conv = [0] * (2 * len(x.num) - 1)
-    for i, a in enumerate(x.num):
-        for j, b in enumerate(y.num, i):
-            conv[j] += a * b
-    return Cyclotomic._make(x.ell, tuple(_fold(x.ell, conv)), x.den * y.den)
-
-
-@pytest.mark.parametrize("ell", [1, 2, 3, 4, 6, 7, 12])
-def test_a_product_left_out_of_lowest_terms_fails_the_kernel_check(ell, monkeypatch):
-    # right on every basis pair, whose denominator is 1, so only the halved
-    # pairs of the check see that the gcd step is missing
-    m = len(cyclotomic_polynomial(ell)) - 1
-    for i in range(m):
-        for j in range(m):
-            x, y = zeta_power(ell, i), zeta_power(ell, j)
-            assert unreduced(x, y) == x * y
-    monkeypatch.setattr(cyclotomic, "_kernel", lambda ell: unreduced)
-    assert not product_matches_fold(ell)
+    basis = [zeta_power(ell, i) for i in range(len(cyclotomic_polynomial(ell)) - 1)]
+    assert all(unreduced(x, y) == x * y for x in basis for y in basis)
+    for mutant in (wrong, unreduced):
+        monkeypatch.setattr(cyclotomic, "_kernel", lambda ell, mutant=mutant: mutant)
+        assert not product_matches_fold(ell)
 
 
 @pytest.mark.parametrize("ell", range(1, 31))
