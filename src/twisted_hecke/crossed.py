@@ -92,6 +92,13 @@ class CrossedElem(SparseSum):
     def _like(self, terms: dict):
         return self._new(self.alg, terms)
 
+    def __reduce__(self):
+        # the term map and what rebuilds the algebra, not the algebra with
+        # its caches; a slotted class pickles at protocols 0 and 1 only
+        # through this
+        alg = self.alg
+        return _rebuild_elem, (type(alg), alg.n, alg.ell, alg.ring.t_values, self.terms)
+
     def _same_space(self, other: "CrossedElem") -> bool:
         return self.alg.compatible(other.alg)
 
@@ -154,6 +161,13 @@ class CrossedElem(SparseSum):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.render()}>"
+
+
+def _rebuild_elem(alg_type: type, n: int, ell: int, t_values, terms: dict) -> CrossedElem:
+    """An element holding ``terms`` in a new ``alg_type(n, ell, t_values)``,
+    which is compatible with the algebra it was pickled from."""
+    alg = alg_type(n, ell, t_values)
+    return alg.elem_type._new(alg, terms)
 
 
 def crossed_mul(alg: "CrossedAlgebra", a: CrossedElem, b: CrossedElem) -> CrossedElem:

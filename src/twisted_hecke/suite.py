@@ -5,8 +5,12 @@ Checks record pass/fail/skipped results with witnesses instead of raising,
 are individually seeded from (seed, check name) so the outcome does not
 depend on execution order, and exercise both sides of every dual-route
 check: the PBW engine against the Laurent-side oracle, the defining
-relations verbatim, the closed forms, the center relation, and the
-Chebyshev identities feeding it.
+relations verbatim, the closed forms, and the Chebyshev identities.  The
+center relation is read on the Laurent side alone: ``theta-relations``
+makes theta an algebra map from the presented H, injective by
+triangularity, so ``center-relation-F`` expands F at the theta images of
+x_i^ell and w instead of expanding w^ell in H.  The engine's own expansion,
+``HeckeAlgebra.evaluate_F``, is checked by the tests and in CI.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 from . import chebyshev
 from .crossed import exponents_bounded
-from .cyclotomic import Cyclotomic, accumulate
+from .cyclotomic import Cyclotomic, accumulate, zeta_power
 from .exprs import eval_hecke, eval_laurent, parse
-from .group import GroupElem, check_bounds, check_twist_rows, star_power
+from .group import GroupElem, action_char_exp, check_bounds, check_twist_rows, star_power
 from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, independence_exponents
 from .laurent import LaurentAlgebra
 from .record import FrozenRecord, Record
@@ -165,6 +170,87 @@ def parser_roundtrip_samples(
     return True, None
 
 
+def relation_rhs(alg, i: int, j: int):
+    """The right side of H's defining relation [x_i, x_j] in ``alg``, H or
+    its Laurent algebra (where g is its own theta image): t_i g_i when j
+    follows i on the n-cycle, -t_j g_j when i follows j, else 0."""
+    n = alg.n
+    if (j - i) % n == 1:
+        return alg.gen_g(i).scale(alg.ring.t(i))
+    if (i - j) % n == 1:
+        return -alg.gen_g(j).scale(alg.ring.t(j))
+    return alg.zero()
+
+
+def theta_relations(H: HeckeAlgebra, L: LaurentAlgebra):
+    """(R): theta respects every defining relation of H; returns (ok,
+    witness, cases) with n(n-1)/2 + n(n-1) cases.
+
+    - theta(x_i) theta(x_j) - theta(x_j) theta(x_i) = theta of the right
+      side of [x_i, x_j] (``relation_rhs``) for every i < j;
+    - g_j theta(x_i) = theta(g_j x_i) for j = 1..n-1 and every i, where
+      g_j x_i = char(g_j, e_i) x_i g_j in H, with the character read from
+      the presentation's formula ``action_char_exp``, and theta(x_i g_j)
+      from ``theta``'s right group step.
+
+    The g_1..g_(n-1) generate G and the character is multiplicative in g,
+    so these are the relations between the x_i and every g.  theta(g) = g,
+    and the group elements multiply by the same crossed-product loop, with
+    the same cocycle, in H and in L.  So theta, given on generators, is an
+    algebra map from the algebra these relations present, which is H.
+    """
+    n, ell = H.n, H.ell
+    cases = n * (n - 1) // 2 + n * (n - 1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            c = L.commutator(L.theta_x(i), L.theta_x(j))
+            if c != relation_rhs(L, i, j):
+                return False, f"[theta(x{i}), theta(x{j})] = {c.render()}", cases
+    for j in range(1, n):
+        g = GroupElem.generator(n, ell, j)
+        for i in range(1, n + 1):
+            e_i = tuple(int(k == i - 1) for k in range(n))
+            char = H.ring.from_cyclotomic(zeta_power(ell, action_char_exp(g, e_i)))
+            lhs = L.lmul(L.gen_g(j), L.theta_x(i))
+            if lhs != L.theta(H.monomial(e_i, g, char)):
+                return False, f"g{j}*theta(x{i}) = {lhs.render()}", cases
+    return True, None, cases
+
+
+def center_relation_through_theta(H: HeckeAlgebra, L: LaurentAlgebra):
+    """F(x_1^ell, ..., x_n^ell, w) = 0 in H, read through theta: the terms
+    of ``H.center_relation_terms()`` at a_i = theta(x_i^ell) and
+    b = theta(w), the images of ``H.x_pow_ell(i)`` and ``H.build_w()``,
+    expanded in L; returns (ok, witness, cases), one case per term of F.
+
+    Why the image decides F in H, in every degree at (n, ell):
+    - theta is an algebra map from H: ``theta_relations`` (R), with the
+      group law the two algebras share;
+    - theta is injective: theta(x_i) = y_i + (a term of total degree -1),
+      and the leading terms y_i multiply with coefficient 1, so
+      theta(x^p g) = y^p g + (terms of lower total degree).  The x^p g span
+      H (the rewriting terminates, ``hecke``'s module docstring), and their
+      images have distinct leading terms, so no nonzero element of H maps
+      to 0.  ``injectivity-spotcheck`` is the agreement test of this step;
+    - so theta(F(x^ell, w)) = F(theta(x^ell), theta(w)), which is zero iff
+      F(x^ell, w) is.
+    H's own expansion, ``HeckeAlgebra.evaluate_F``, builds w^ell with the
+    rewriting engine; it checks the engine, not the relation.
+    """
+    n = H.n
+    a_img = [L.theta(H.x_pow_ell(i)) for i in range(1, n + 1)]
+    b_pows = [L.one(), L.theta(H.build_w())]
+    terms = H.center_relation_terms()
+    total = L.zero()
+    for (a, bexp), coeff in terms.items():
+        while len(b_pows) <= bexp:
+            b_pows.append(L.lmul(b_pows[-1], b_pows[1]))
+        factors = [img for img, k in zip(a_img, a) for _ in range(k)]
+        total = total + reduce(L.lmul, factors, b_pows[bexp]).scale(coeff)
+    ok = total.is_zero()
+    return ok, None if ok else f"theta(F) = {total.render()}", len(terms)
+
+
 def run_suite(cfg: Config) -> list[CheckResult]:
     """Run every check for one configuration.  Failures are recorded with a
     witness, never raised; checks that do not apply are marked skipped."""
@@ -205,17 +291,12 @@ def run_suite(cfg: Config) -> list[CheckResult]:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 c = H.commutator(H.gen_x(i), H.gen_x(j))
-                if (j - i) % n == 1:
-                    expected = H.gen_g(i).scale(H.ring.t(i))
-                elif (i - j) % n == 1:
-                    expected = -H.gen_g(j).scale(H.ring.t(j))
-                else:
-                    expected = H.zero()
-                if c != expected:
+                if c != relation_rhs(H, i, j):
                     return False, f"[x{i}, x{j}] = {c.render()}", n * n
         return True, None, n * n
 
     check("defining-relations", relations)
+    check("theta-relations", lambda: theta_relations(H, L))
 
     def star_signs():
         for i in range(1, n + 1):
@@ -320,12 +401,7 @@ def run_suite(cfg: Config) -> list[CheckResult]:
 
     check("chebyshev-identities", cheb)
 
-    def relation_f():
-        value = H.evaluate_F()
-        witness = None if value.is_zero() else f"F = {value.render()}"
-        return value.is_zero(), witness, len(H.center_relation_terms())
-
-    check("center-relation-F", relation_f)
+    check("center-relation-F", lambda: center_relation_through_theta(H, L))
 
     def independence():
         ok = H.pbw_independence_evidence(cfg.degree_bound)

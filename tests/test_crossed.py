@@ -1,7 +1,9 @@
 """The crossed-product core shared by the Hecke and Laurent algebras."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -449,6 +451,31 @@ def test_a_group_part_from_another_group_raises(algebra):
     with pytest.raises(TypeError, match="^group part must be a GroupElem"):
         alg.monomial((0, 0, 0), (1, 0))
     assert alg.monomial((0, 0, 0), GroupElem(3, 2, (1, 0))) == alg.gen_g(1)
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+def test_elements_pickle_at_every_protocol(specialised):
+    # a slotted element pickles at protocols 0 and 1 only through its
+    # __reduce__, which carries the term map and rebuilds the algebra from
+    # (type, n, ell, t values) instead of pickling it with its caches
+    H = HeckeAlgebra(3, 3, t_values(3, 3, specialised))
+    L = LaurentAlgebra(3, 3, t_values(3, 3, specialised))
+    w = H.build_w()
+    for value in (H.gen_x(1), w, H.zero(), L.gen_y(2), L.theta(w), L.zero()):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and type(back.alg) is type(value.alg)
+            assert back.alg is not value.alg and back.alg.compatible(value.alg)
+            assert back.alg.ring.t_values == value.alg.ring.t_values
+            assert back == value and hash(back) == hash(value)
+            assert back.render() == value.render()
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+    # the rebuilt algebra computes, and its results meet the original's;
+    # the bytes do not grow with the caches of the algebra pickled from
+    data = pickle.dumps(w, pickle.HIGHEST_PROTOCOL)
+    back = pickle.loads(data)
+    assert back * back == H.w_power(2)
+    assert pickle.dumps(w, pickle.HIGHEST_PROTOCOL) == data
 
 
 # -- the t-exponent in the term key ----------------------------------------

@@ -31,6 +31,7 @@ EXPECTED_CHECKS = [
     "cocycle-identity",
     "action-character-laws",
     "defining-relations",
+    "theta-relations",
     "star-power-signs",
     "associativity-samples",
     "theta-homomorphism-samples",
@@ -183,6 +184,7 @@ def test_every_check_reports_its_cases(results32):
     # (n-1)^2 or n(n-1) generator entries, then the |G| rows
     assert cases["cocycle-identity"] == 2**2 + 2**2
     assert cases["action-character-laws"] == 3 * 2 + 2**2
+    assert cases["theta-relations"] == 3 + 3 * 2  # i < j commutators, then g_j against x_i
     assert cases["theta-homomorphism-samples"] == 200
     assert cases["pbw-independence"] == 35 + 10  # x^(2p) w^m: 2|p| + 3m <= 8, m < 2
     assert cases["injectivity-spotcheck"] == 35  # |p| <= 4 in three variables
@@ -221,7 +223,7 @@ def test_twist_checks_reject_a_corrupted_row(monkeypatch):
     assert by_name["action-character-laws"] == "fail"
 
 
-_MUL, _THETA = HeckeAlgebra.mul, LaurentAlgebra.theta
+_MUL, _THETA, _INSERT = HeckeAlgebra.mul, LaurentAlgebra.theta, HeckeAlgebra._insert
 
 
 def _bad_star_group(g, k):
@@ -248,6 +250,14 @@ def _is_central_never(H, z):
 # check at (3, 2) on purpose
 BROKEN_CHECKS = [
     ("defining-relations", HeckeAlgebra, "commutator", lambda H, a, b: H.zero(), "[x1, x2] = 0"),
+    # the y_i commute, so theta(x_i) = y_i fails the first relation
+    (
+        "theta-relations",
+        LaurentAlgebra,
+        "theta_x",
+        lambda L, i: L.gen_y(i),
+        "[theta(x1), theta(x2)] = 0",
+    ),
     ("star-power-signs", suite, "star_power", _bad_star_group, "g1^(*2) has group part g1"),
     ("star-power-signs", suite, "star_power", _bad_star_scalar, "g1^(*2) = 0"),
     # a*b + a is not associative: the two bracketings differ by a*c
@@ -277,6 +287,8 @@ BROKEN_CHECKS = [
     ),
     ("x1-noncentral-witness", HeckeAlgebra, "is_central", _is_central_never, "witness = 0"),
     ("chebyshev-identities", chebyshev, "identity_che1", lambda ell: False, "che1 failed at ell=2"),
+    # F(x^ell, 1) is not zero
+    ("center-relation-F", HeckeAlgebra, "build_w", lambda H: H.one(), "theta(F) = "),
     ("parser-roundtrip", suite, "eval_hecke", lambda tree, H: H.zero(), "sample #0: "),
 ]
 
@@ -287,6 +299,96 @@ def test_a_broken_check_fails_with_its_witness(monkeypatch, name, owner, attr, b
     r = {r.name: r for r in run_suite(Config(n=3, ell=2))}[name]
     assert r.status == "fail"
     assert r.witness.startswith(prefix), r.witness
+
+
+# -- theta-relations and center-relation-F ---------------------------------
+
+
+def _failing(cfg):
+    return {r.name for r in run_suite(cfg) if r.status == "fail"}
+
+
+def _extra_t3_in_theta_x2(monkeypatch):
+    # theta(x_2) gains t_3 y_3^(-1) g_2 beside its -(zeta t_2/(zeta-1)) term
+    real = LaurentAlgebra.__init__
+
+    def init(L, n, ell, t_values=None):
+        real(L, n, ell, t_values)
+        e2 = tuple(int(k == 1) for k in range(n))
+        low = tuple(-1 if k == 2 % n else 0 for k in range(n))
+        extra = L._term(low, L.codes.generator(2), L.ring.t(3))
+        L._theta_mono[e2] = L._theta_mono[e2] + extra
+
+    monkeypatch.setattr(LaurentAlgebra, "__init__", init)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 3), (4, 3)])
+def test_a_wrong_theta_image_fails_both_theta_side_checks(monkeypatch, n, ell):
+    _extra_t3_in_theta_x2(monkeypatch)
+    assert {"theta-relations", "center-relation-F"} <= _failing(Config(n, ell))
+
+
+def test_a_wrong_character_fails_theta_relations(monkeypatch):
+    # the character of (R)'s group part is read from the presentation's
+    # formula; one power of zeta too many breaks g_j x_i = char x_i g_j
+    real = suite.action_char_exp
+    monkeypatch.setattr(suite, "action_char_exp", lambda g, p: real(g, p) + 1)
+    r = {r.name: r for r in run_suite(Config(3, 3))}["theta-relations"]
+    assert r.status == "fail" and r.witness.startswith("g1*theta(x1) = ")
+
+
+@pytest.mark.parametrize("n, ell", [(3, 2), (4, 3)])
+def test_a_wrong_beta_sign_fails_both_routes_of_the_center_relation(monkeypatch, n, ell):
+    real = ParamRing.beta
+    monkeypatch.setattr(ParamRing, "beta", lambda ring: -real(ring))
+    assert "center-relation-F" in _failing(Config(n, ell))
+    H, L = HeckeAlgebra(n, ell), LaurentAlgebra(n, ell)
+    value = H.evaluate_F()
+    assert not value.is_zero()
+    # the two routes agree term for term: the theta-side witness is the
+    # theta image of the engine's F
+    ok, witness, _ = suite.center_relation_through_theta(H, L)
+    assert not ok and witness == f"theta(F) = {L.theta(value).render()}"
+
+
+def _insert_main_term_only(H, i, q):
+    return _INSERT(H, i, q)[:1]
+
+
+def _insert_corrections_times_zeta(H, i, q):
+    main, *corrections = _INSERT(H, i, q)
+    return (main, *((key, c.times_zeta(1)) for key, c in corrections))
+
+
+@pytest.mark.parametrize("mutant", [_insert_main_term_only, _insert_corrections_times_zeta])
+@pytest.mark.parametrize("n, ell", [(3, 3), (4, 3)])
+def test_rewriting_mutants_still_fail_the_engine_checks(monkeypatch, mutant, n, ell):
+    # theta-relations and the theta-side F read no rewriting, so the engine
+    # checks are what catch a wrong _insert
+    monkeypatch.setattr(HeckeAlgebra, "_insert", mutant)
+    assert {"defining-relations", "theta-homomorphism-samples"} <= _failing(Config(n, ell))
+
+
+def test_center_relation_needs_no_power_of_w_in_h(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("w^ell built in H")
+
+    monkeypatch.setattr(HeckeAlgebra, "evaluate_F", forbidden)
+    monkeypatch.setattr(HeckeAlgebra, "w_power", forbidden)
+    r = {r.name: r for r in run_suite(Config(3, 2))}["center-relation-F"]
+    assert (r.status, r.cases) == ("pass", 6)  # 4 independent sets, 2 powers of b
+
+
+@pytest.mark.parametrize("specialised", [False, True])
+@pytest.mark.parametrize("n, ell", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_both_routes_of_the_center_relation_agree(n, ell, specialised):
+    # the engine's F and the theta-side F both vanish, and theta of the
+    # engine's F is the theta-side expansion; theta-relations holds too
+    t = tuple(Cyclotomic(ell, [k + 1, -1]) for k in range(n)) if specialised else None
+    H, L = HeckeAlgebra(n, ell, t), LaurentAlgebra(n, ell, t)
+    assert H.evaluate_F().is_zero()
+    assert suite.center_relation_through_theta(H, L)[:2] == (True, None)
+    assert suite.theta_relations(H, L) == (True, None, n * (n - 1) // 2 + n * (n - 1))
 
 
 def test_a_crashing_check_fails_with_the_error_as_witness(monkeypatch):
@@ -483,12 +585,12 @@ def test_cli_verify_prints_skip_and_fail_lines(capsys, monkeypatch):
     assert main(["verify", "--n", "4", "--ell", "2"]) == 0
     out = capsys.readouterr().out
     assert "SKIP  sklyanin-spotcheck\n" in out
-    assert out.endswith("\n18 passed, 0 failed, 1 skipped\n")
+    assert out.endswith("\n19 passed, 0 failed, 1 skipped\n")
     monkeypatch.setattr(chebyshev, "identity_che1", lambda ell: False)
     assert main(["verify", "--n", "3", "--ell", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  chebyshev-identities: che1 failed at ell=2 (" in out
-    assert out.endswith("\n18 passed, 1 failed, 0 skipped\n")
+    assert out.endswith("\n19 passed, 1 failed, 0 skipped\n")
 
 
 def test_cli_grid_with_points(capsys, tmp_path):
