@@ -29,7 +29,6 @@ and the ring is the only place that knows whether t is specialized.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .cyclotomic import (
@@ -38,6 +37,7 @@ from .cyclotomic import (
     accumulate,
     graded_lex_key,
     indexed_powers,
+    is_rational,
     render_terms,
     zeta_power,
 )
@@ -75,7 +75,7 @@ class ParamPoly(SparseSum):
     def _coerce(self, value) -> Cyclotomic | None:
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, (int, Fraction)):
+        if is_rational(value):
             return Cyclotomic.from_rational(self.ell, value)
         return None
 
@@ -216,7 +216,7 @@ class ParamRing:
             return value if self.t_values is None else value.specialize(self.t_values)
         if isinstance(value, Cyclotomic):
             return self.from_cyclotomic(value)
-        if isinstance(value, (int, Fraction)):
+        if is_rational(value):
             return self.from_rational(value)
         return None
 

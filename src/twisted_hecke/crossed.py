@@ -45,7 +45,7 @@ from operator import add
 
 from .coeffring import ParamRing
 from .cyclotomic import (
-    SparseSum, _kernel, accumulate, graded_lex_key, indexed_powers, render_terms,
+    SparseSum, _kernel, graded_lex_key, indexed_powers, render_terms,
 )
 from .group import GroupCodes, GroupElem, check_bounds, factors, twist_exp, twist_row
 
@@ -238,10 +238,11 @@ class CrossedAlgebra:
     def _accumulate_product(self, out: dict, left, right) -> None:
         """Add (sum of ca t^sigma m^p g)(sum of cb t^tau m^q h) into the term
         map ``out``; ``left`` and ``right`` are sized collections of
-        ((exponents, group code, t-exponent), coeff) pairs, and each pair
-        adds zeta^z ca cb t^(sigma+tau) m^(p+q) (gh), z from ``twist_exp``
-        against the right term's ``twist_row``, built once per right term
-        that is not plain.
+        ((exponents, group code, t-exponent), coeff) pairs with no coeff
+        zero (canonical term maps, ``_insert`` items, ``ParamRing.split``
+        pairs), and each pair adds zeta^z ca cb t^(sigma+tau) m^(p+q) (gh),
+        z from ``twist_exp`` against the right term's ``twist_row``, built
+        once per right term that is not plain.
 
         Right terms are the outer loop.  A pair's z and group part are 0 and
         h when g is the identity, 0 and g when the right term is plain (h
@@ -257,7 +258,10 @@ class CrossedAlgebra:
         z for the whole call, else each right term's, once per z for that
         term; a unit is not shifted but the other factor is.  These ``is``
         tests are shortcuts only: a zero vector or a 1 that is another
-        object takes the general path, to the same result."""
+        object takes the general path, to the same result.  A pair's value
+        is nonzero, as Q(zeta) is a field, so it is stored as it is under a
+        new key; only a sum with an earlier value is tested, and the key is
+        removed when the sum cancels."""
         ring, codes, ell = self.ring, self.codes, self.ell
         one, tz, zero, gmul = ring.unit, ring.t_zero, self._zero_p, codes.mul
         mul = _kernel(ell)
@@ -291,7 +295,16 @@ class CrossedAlgebra:
                         if fz is None:
                             fz = shifted[z] = f.times_zeta(z)
                         v = fz if m is one else mul(fz, m)
-                accumulate(out, (r, k, s), v)
+                key = (r, k, s)
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = v
+                else:
+                    v = prev + v
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
 
     def gen_g(self, i: int):
         return self._term(self._zero_p, self.codes.generator(i))

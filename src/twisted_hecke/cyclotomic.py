@@ -7,9 +7,14 @@ polynomial: a vector of phi(ell) = deg Phi_ell integer numerators over one
 positive common denominator, fully reduced against Phi_ell and in lowest
 terms (gcd(den, *num) == 1, zero is 0/1).  Equality is therefore structural
 and every comparison is exact.  Phi_ell is monic with integer coefficients,
-so a product is an integer product of numerators modulo Phi_ell and one gcd;
+so a product is an integer product of numerators modulo Phi_ell and one gcd,
+and Phi_ell itself is computed over Z (``cyclotomic_polynomial``).
 ``fractions.Fraction`` appears only where values enter or leave (the
-constructor, ``from_rational``, ``coeffs``).
+constructor, ``from_rational`` of a non-int, ``coeffs``), and the
+``fractions`` module is imported only there too, on first use: building
+elements and multiplying them imports no ``fractions``, and ``is_rational``
+recognises a Fraction without importing it, since none can exist before
+``fractions`` is loaded.
 
 The product is chosen per ell from Phi_ell on first use (``_kernel``): a
 closed form in two or four integers when phi(ell) <= 2, with the gcd
@@ -25,43 +30,65 @@ anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = ["Cyclotomic", "SparseSum", "cyclotomic_polynomial", "zeta_power"]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def is_rational(value) -> bool:
+    """True for what a coefficient accepts as a rational: an int (bool
+    included) or a ``fractions.Fraction``.  Fraction is looked up only when
+    the ``fractions`` module is loaded, since otherwise no Fraction exists;
+    so the test imports nothing, and an int passes before the ABC check that
+    ``isinstance`` makes against Fraction."""
+    if isinstance(value, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
-    """Coefficients of the monic ell-th cyclotomic polynomial, ascending.
+def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
+    """Integer coefficients of the monic ell-th cyclotomic polynomial,
+    ascending.
 
-    Computed by exact division of z^ell - 1 by the product of Phi_d over
-    the proper divisors d of ell.
+    Computed over Z by exact division of z^ell - 1 by Phi_d for each proper
+    divisor d of ell in turn: every divisor is monic, so each quotient is
+    integral.
     """
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
-    if ell == 1:
-        return (Fraction(-1), _F1)
-    poly = [_F0] * (ell + 1)
-    poly[0] = Fraction(-1)
-    poly[ell] = _F1
+    poly = [-1] + [0] * (ell - 1) + [1]
     for d in range(1, ell):
         if ell % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if rem:
-                raise ArithmeticError("inexact polynomial division")
+            poly = _divide_monic(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+def _divide_monic(a: list, b: tuple) -> list:
+    """The quotient a / b of integer coefficient lists, ascending, for a
+    monic b; ArithmeticError when b does not divide a."""
+    r = list(a)
+    d = len(b) - 1
+    q = [0] * (len(r) - d)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        if c:
+            q[k - d] = c
+            for j in range(d + 1):
+                r[k - d + j] -= c * b[j]
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 @lru_cache(maxsize=None)
 def _power_table(ell: int) -> tuple[tuple[int, ...], ...]:
     """Reduced integer representatives of z^k mod Phi_ell for 0 <= k < ell;
     z^ell = 1, so row k mod ell stands for every power z^k."""
-    phi = [int(c) for c in cyclotomic_polynomial(ell)]
+    phi = cyclotomic_polynomial(ell)
     m = len(phi) - 1
     rows: list[tuple[int, ...]] = []
     for k in range(ell):
@@ -126,7 +153,7 @@ def _kernel(ell: int):
         return lambda x, y: Cyclotomic._make(
             ell, *_lowest_terms((x.num[0] * y.num[0],), x.den * y.den)
         )
-    c0, c1 = (int(c) for c in phi[:2])
+    c0, c1 = phi[:2]
     new = object.__new__
 
     def product(x, y):
@@ -196,6 +223,8 @@ class Cyclotomic:
         of zeta; the input is reduced modulo Phi_ell."""
         if ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell}")
+        from fractions import Fraction
+
         fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in fracs))
         num = _fold(ell, [c.numerator * (den // c.denominator) for c in fracs])
@@ -225,14 +254,24 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, ell: int, value) -> "Cyclotomic":
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
-        m = _degree(ell)
-        return cls._make(ell, (value.numerator,) + (0,) * (m - 1), value.denominator)
+        """The rational ``value``: an int as it is, anything else through
+        ``Fraction``."""
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            from fractions import Fraction
+
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        return cls._make(ell, (num,) + (0,) * (_degree(ell) - 1), den)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coordinates num[k]/den, ascending in zeta."""
+    def coeffs(self) -> tuple:
+        """The rational coordinates num[k]/den, ascending in zeta, as
+        Fractions."""
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(a, den) for a in self.num)
 
@@ -247,7 +286,7 @@ class Cyclotomic:
             if other.ell != self.ell:
                 raise ValueError(f"mixed cyclotomic orders {self.ell} and {other.ell}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             return Cyclotomic.from_rational(self.ell, other)
         return None
 
@@ -419,28 +458,7 @@ def zeta_power(ell: int, k: int) -> Cyclotomic:
     return Cyclotomic._make(ell, _power_table(ell)[k % ell], 1)
 
 
-def _trim(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(a, b):
-    """Division with remainder in Q[z] on trimmed ascending coefficient lists."""
-    r = list(a)
-    d = len(b) - 1
-    lead = b[-1]
-    q = [_F0] * max(len(r) - d, 0)
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k] / lead
-        if c:
-            q[k - d] = c
-            for j in range(d + 1):
-                r[k - d + j] -= c * b[j]
-    return q, _trim(r)
-
-
-def format_rational(q: Fraction) -> str:
+def format_rational(q) -> str:
     """Render a rational for the shared expression grammar: `2` or `(1/2)`."""
     if q.denominator == 1:
         return str(q.numerator)

@@ -41,7 +41,12 @@ MAX_PARAMS = 16
 
 
 def check_bounds(n: int, ell: int) -> None:
-    """The configurations every layer accepts: 3 <= n <= MAX_PARAMS, ell >= 2."""
+    """The configurations every layer accepts: integers 3 <= n <= MAX_PARAMS
+    and ell >= 2."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if not isinstance(ell, int):
+        raise ValueError(f"ell must be an integer, got {ell!r}")
     if not 3 <= n <= MAX_PARAMS:
         raise ValueError(f"n must be between 3 and {MAX_PARAMS}, got {n}")
     if ell < 2:

@@ -36,7 +36,6 @@ import itertools
 from functools import reduce
 from math import prod
 
-from .chebyshev import nu
 from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
 from .group import GroupElem
@@ -100,6 +99,10 @@ def relation_a_terms(ring) -> list:
 def relation_b_terms(ring) -> list:
     """The b-part of F without its sign: (ell - 2r, nu_r beta^r) for
     0 <= r <= ell/2, with beta from ``ParamRing.beta``."""
+    # chebyshev is imported here, not with the module, so that building an
+    # algebra loads neither it nor ``fractions``
+    from .chebyshev import nu
+
     ell, beta = ring.ell, ring.beta()
     return [(ell - 2 * r, (beta**r).scale(nu(ell, r))) for r in range(ell // 2 + 1)]
 

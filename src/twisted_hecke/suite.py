@@ -63,6 +63,8 @@ class Config(FrozenRecord):
         check_bounds(n, ell)
         if t_values is not None and len(t_values) != n:
             raise ValueError(f"expected {n} parameter values")
+        if not isinstance(degree_bound, int):
+            raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
         if degree_bound < 0:
             # a negative bound leaves the finite-evidence checks nothing to examine
             raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")

@@ -278,6 +278,31 @@ def test_specialised_product_makes_one_field_product_per_term_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("specialised", [False, True])
+def test_product_loop_tests_only_sums_for_zero(specialised, monkeypatch):
+    # no input of the loop holds a zero and Q(zeta) is a field, so a term
+    # pair under a new key is stored with no zero test; a sum is tested and
+    # removes its key when it cancels
+    L = LaurentAlgebra(3, 3, t_values(3, 3, specialised))
+    a, b = L.theta_x(1), L.theta_x(2)
+    y1, y2 = L.gen_y(1), L.gen_y(2)
+    plus, minus = y1 + y2, y1 - y2
+    calls = []
+    original = Cyclotomic.__bool__
+    monkeypatch.setattr(Cyclotomic, "__bool__", lambda c: calls.append(1) or original(c))
+    product = L.lmul(a, b)  # four pairs, four distinct keys
+    assert calls == []
+    difference = L.lmul(plus, minus)  # y1 y2 and y2 y1 cancel
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(product.terms) == len(a.terms) * len(b.terms) == 4
+    assert product.monomial_terms() == reference_crossed_mul(L, a, b)
+    assert difference == L.gen_y(1, 2) - L.gen_y(2, 2)
+    assert len(difference.terms) == 2
+    zero = a.scale(0)
+    assert zero == L.zero() and zero.terms == {}
+
+
+@pytest.mark.parametrize("specialised", [False, True])
 def test_hecke_product_forms_no_coefficient_product_by_one(specialised, monkeypatch):
     # H takes its pair twist from the crossed product, so a pair that needs
     # no rewriting costs no coefficient product when its factors carry the

@@ -1,6 +1,8 @@
 """Exactness and field structure of the cyclotomic arithmetic."""
 
+import numbers
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -12,9 +14,9 @@ from twisted_hecke.coeffring import ParamRing
 from twisted_hecke import cyclotomic
 from twisted_hecke.cyclotomic import (
     Cyclotomic,
-    _poly_divmod,
     accumulate,
     cyclotomic_polynomial,
+    is_rational,
     product_matches_fold,
     power_by_squaring,
     zeta_power,
@@ -36,7 +38,28 @@ KNOWN = {
 
 @pytest.mark.parametrize("ell,coeffs", sorted(KNOWN.items()))
 def test_cyclotomic_polynomial_known_values(ell, coeffs):
-    assert cyclotomic_polynomial(ell) == tuple(F(c) for c in coeffs)
+    assert cyclotomic_polynomial(ell) == coeffs
+    assert all(type(c) is int for c in cyclotomic_polynomial(ell))
+
+
+def ref_cyclotomic_polynomial(ell):
+    """Phi_ell in Fractions: z^ell - 1 divided with remainder in Q[z] by the
+    reference Phi_d of each proper divisor d of ell."""
+    poly = [F(-1)] + [F(0)] * (ell - 1) + [F(1)]
+    for d in range(1, ell):
+        if ell % d == 0:
+            poly, rem = ref_divmod(poly, ref_cyclotomic_polynomial(d))
+            assert not rem
+    return poly
+
+
+def test_integer_cyclotomic_polynomial_matches_fraction_division():
+    # Phi_ell is computed over Z, dividing by monic integer divisors only;
+    # the division in Q[z] it replaced must give the same coefficients
+    for ell in range(1, 65):
+        got = cyclotomic_polynomial(ell)
+        assert all(type(c) is int for c in got)
+        assert list(got) == ref_cyclotomic_polynomial(ell)
 
 
 @pytest.mark.parametrize("ell", range(1, 17))
@@ -49,6 +72,24 @@ def test_product_over_divisors_is_power_minus_one(ell):
     expected = [F(0)] * (ell + 1)
     expected[0], expected[ell] = F(-1), F(1)
     assert prod == expected
+
+
+def test_a_coefficient_accepts_exactly_ints_and_fractions():
+    # what the coercions accepted as (int, Fraction) before they stopped
+    # importing fractions; another numbers.Rational, such as sympy's, stays
+    # out, and so does everything else
+    class OtherRational:
+        pass
+
+    numbers.Rational.register(OtherRational)
+    assert all(map(is_rational, (0, -3, True, F(1, 2), F(4))))
+    others = (0.5, Decimal(1), "1", OtherRational(), zeta_power(3, 1), None)
+    assert not any(map(is_rational, others))
+    x = zeta_power(5, 1)
+    assert x * 2 == x + x and x * F(1, 2) + x * F(1, 2) == x
+    for value in others[:4]:
+        with pytest.raises(TypeError):
+            x * value
 
 
 def test_rejects_nonpositive_order():
@@ -211,10 +252,28 @@ def test_accumulate_never_stores_a_zero(zero, a, b):
 REF_ELLS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
 
 
+def ref_divmod(a, b):
+    """Division with remainder in Q[z] on ascending coefficient lists; the
+    remainder is trimmed of its zero leading coefficients."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    q = [F(0)] * max(len(r) - d, 0)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = F(r[k]) / lead
+        if c:
+            q[k - d] = c
+            for j in range(d + 1):
+                r[k - d + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 def ref_reduce(ell, coeffs):
     """Fraction coordinates of a polynomial in z reduced mod Phi_ell."""
     phi = list(cyclotomic_polynomial(ell))
-    _, rem = _poly_divmod([F(c) for c in coeffs], phi)
+    _, rem = ref_divmod([F(c) for c in coeffs], phi)
     return tuple(rem) + (F(0),) * (len(phi) - 1 - len(rem))
 
 

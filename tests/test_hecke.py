@@ -44,6 +44,15 @@ def test_configuration_bounds():
         HeckeAlgebra(3, 1)
 
 
+def test_non_integer_configuration_is_rejected():
+    # HeckeAlgebra(3.0, 2) once failed deep in the group code with a bare
+    # TypeError about multiplying a sequence by a float
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.0$"):
+        HeckeAlgebra(3.0, 2)
+    with pytest.raises(ValueError, match=r"^ell must be an integer, got 2\.0$"):
+        HeckeAlgebra(3, 2.0)
+
+
 def test_generator_monomials(H43):
     x1 = H43.gen_x(1)
     ((mono, coeff),) = x1.monomial_terms().items()

@@ -151,6 +151,14 @@ def test_theta_cache_starts_with_the_closed_forms():
         L.theta_x(5)
 
 
+def test_non_integer_configuration_is_rejected():
+    # LaurentAlgebra(3, "2") once failed comparing a str with an int
+    with pytest.raises(ValueError, match="^ell must be an integer, got '2'$"):
+        LaurentAlgebra(3, "2")
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 4\.5$"):
+        LaurentAlgebra(4.5, 3)
+
+
 def test_non_integer_exponents_are_rejected(pair32):
     # y1^0.5 used to be stored and rendered
     _, L = pair32

@@ -1,6 +1,7 @@
 """The verification suite and the command-line interface."""
 
 import copy
+import importlib
 import json
 import os
 import pickle
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import twisted_hecke
 from twisted_hecke import chebyshev, crossed, group, hecke, laurent, suite
 from twisted_hecke.cli import main
 from twisted_hecke.coeffring import ParamRing
@@ -129,6 +131,86 @@ def test_import_builds_no_product_kernel():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr or f"{proc.returncode} kernels built at import"
+
+
+COLD_BUILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import twisted_hecke
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith("twisted_hecke."))
+if loaded():
+    sys.exit(f"import twisted_hecke loaded {loaded()}")
+missing = set(twisted_hecke.__all__) - set(dir(twisted_hecke))
+if missing or loaded():
+    sys.exit(f"dir() lacks {sorted(missing)} or loaded {loaded()}")
+twisted_hecke.HeckeAlgebra(5, 4)
+twisted_hecke.LaurentAlgebra(5, 4)
+built = {"twisted_hecke." + m for m in ("cyclotomic", "group", "coeffring", "crossed", "hecke", "laurent")}
+if set(loaded()) != built:
+    sys.exit(f"building both algebras loaded {loaded()}")
+late = [m for m in ("fractions", "decimal", "twisted_hecke.exprs", "twisted_hecke.suite",
+                    "twisted_hecke.chebyshev", "twisted_hecke.cli") if m in sys.modules]
+if late:
+    sys.exit(f"building both algebras loaded {late}")
+from twisted_hecke import chebyshev, exprs, group
+if (chebyshev.nu, exprs.parse) != (twisted_hecke.nu, twisted_hecke.parse):
+    sys.exit("submodules imported by name disagree with the package's names")
+"""
+
+
+def test_import_and_construction_load_only_what_they_use():
+    # the package resolves its public names on first use, so importing it
+    # loads no submodule, and building both algebras with symbolic t loads
+    # their six modules and no rationals, parser, suite or Chebyshev code;
+    # warnings are errors, as in the CI cold start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-I", "-S", "-c", COLD_BUILD, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# the submodule that defines each public name, as the package imported them
+# all before it resolved them lazily
+PUBLIC_SOURCES = {
+    "cyclotomic": ("Cyclotomic", "cyclotomic_polynomial", "zeta_power"),
+    "coeffring": ("ParamPoly", "ParamRing"),
+    "group": (
+        "GroupElem", "alpha", "action_char", "star_mul", "star_power", "all_elements",
+        "cocycle_identity_holds",
+    ),
+    "hecke": ("HeckeAlgebra", "HeckeElem", "enumerate_J"),
+    "laurent": ("LaurentAlgebra", "LaurentElem"),
+    "chebyshev": (
+        "IntPoly", "chebyshev_T", "nu", "identity_che1", "identity_che2", "identity_rho",
+    ),
+    "exprs": ("parse", "eval_hecke", "eval_laurent", "eval_scalar", "ParseError", "EvalError"),
+    "suite": (
+        "Config", "CheckResult", "run_suite", "run_grid", "suite_report", "all_passed",
+        "DEFAULT_GRID",
+    ),
+}
+
+
+def test_public_names_resolve_to_their_definitions():
+    expected = {
+        name: getattr(importlib.import_module(f"twisted_hecke.{module}"), name)
+        for module, names in PUBLIC_SOURCES.items()
+        for name in names
+    }
+    assert twisted_hecke.__all__ == list(expected)
+    for name, value in expected.items():
+        assert getattr(twisted_hecke, name) is value
+    star: dict = {}
+    exec("from twisted_hecke import *", star)
+    assert {k: v for k, v in star.items() if k != "__builtins__"} == expected
+    assert set(expected) <= set(dir(twisted_hecke))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        twisted_hecke.no_such_name
 
 
 def test_sklyanin_skipped_off_n3():
@@ -456,6 +538,9 @@ def test_config_construction_defaults_and_messages():
         ((3, 1), {}, "ell must be >= 2, got 1"),
         ((3, 2, (Cyclotomic.zero(2),)), {}, "expected 3 parameter values"),
         ((3, 2), {"degree_bound": -1}, "degree_bound must be >= 0, got -1"),
+        ((3.0, 2), {}, "n must be an integer, got 3.0"),
+        ((3, "2"), {}, "ell must be an integer, got '2'"),
+        ((3, 2), {"degree_bound": 2.5}, "degree_bound must be an integer, got 2.5"),
     ):
         with pytest.raises(ValueError) as err:
             Config(*args, **kwargs)
