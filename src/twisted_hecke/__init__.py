@@ -30,12 +30,8 @@ _SOURCE = {
     "ParamPoly": "coeffring",
     "ParamRing": "coeffring",
     "GroupElem": "group",
-    "alpha": "group",
-    "action_char": "group",
-    "star_mul": "group",
     "star_power": "group",
     "all_elements": "group",
-    "cocycle_identity_holds": "group",
     "HeckeAlgebra": "hecke",
     "HeckeElem": "hecke",
     "enumerate_J": "hecke",

@@ -87,28 +87,15 @@ class ParamPoly(SparseSum):
         if type(other) is not ParamPoly:
             return self.__rmul__(other)
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1:
-            # Q(zeta)[t] is a domain: a product of nonzero terms is nonzero
-            ((ea, ca),) = a.items()
-            ((eb, cb),) = b.items()
-            return self._like({tuple(map(add, ea, eb)): ca * cb})
         out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
                 accumulate(out, tuple(map(add, ea, eb)), ca * cb)
         return self._like(out)
 
     # bound in this class, so the per-layer tracer can wrap it for ParamPoly
     # alone
     scale = SparseSum.scale
-
-    def times_zeta(self, k: int) -> "ParamPoly":
-        """Multiply by zeta^k: ``Cyclotomic.times_zeta`` of every
-        coefficient, with no general product."""
-        if not k % self.ell:
-            return self
-        return self._like({e: c.times_zeta(k) for e, c in self.terms.items()})
 
     def specialize(self, values) -> Cyclotomic:
         """Exact evaluation at t = values (a sequence of n Q(zeta) scalars)."""
@@ -298,7 +285,7 @@ class ParamRing:
         """(-1)^n zeta^(n-2) tau_1...tau_n: theta(w) = Y + beta Y^(-1) with
         Y = y_1...y_n, so every b-side coefficient of the center relation is
         a multiple of a power of beta."""
-        p = self.tau_product().times_zeta(self.n - 2)
+        p = self.tau_product().scale(zeta_power(self.ell, self.n - 2))
         return -p if self.n % 2 else p
 
     def same_parameters(self, other: "ParamRing") -> bool:

@@ -194,7 +194,6 @@ class CrossedAlgebra:
         self.ell = ell
         self.ring = ParamRing(n, ell, t_values)
         self.codes = GroupCodes(n, ell)
-        self.identity_g = GroupElem.identity(n, ell)
         self._zero_p = (0,) * n
 
     def compatible(self, other: "CrossedAlgebra") -> bool:

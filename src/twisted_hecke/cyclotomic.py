@@ -9,12 +9,12 @@ terms (gcd(den, *num) == 1, zero is 0/1).  Equality is therefore structural
 and every comparison is exact.  Phi_ell is monic with integer coefficients,
 so a product is an integer product of numerators modulo Phi_ell and one gcd,
 and Phi_ell itself is computed over Z (``cyclotomic_polynomial``).
-``fractions.Fraction`` appears only where values enter or leave (the
-constructor, ``from_rational`` of a non-int, ``coeffs``), and the
-``fractions`` module is imported only there too, on first use: building
-elements and multiplying them imports no ``fractions``, and ``is_rational``
-recognises a Fraction without importing it, since none can exist before
-``fractions`` is loaded.
+A rational coefficient is an int or a ``fractions.Fraction``
+(``is_rational``), and the constructors read either through its numerator
+and denominator.  So only ``coeffs`` builds Fractions and imports the
+``fractions`` module, on first use: building elements and multiplying them
+imports no ``fractions``, and ``is_rational`` recognises a Fraction without
+importing it, since none can exist before ``fractions`` is loaded.
 
 The product is chosen per ell from Phi_ell on first use (``_kernel``): a
 closed form in two or four integers when phi(ell) <= 2, with the gcd
@@ -186,12 +186,10 @@ def product_matches_fold(ell: int) -> bool:
     form divides out.
 
     The closed forms of ``_kernel`` and the convolution are bilinear in the
-    two numerators, and the rational shortcut of ``_convolve`` scales a
-    numerator that is already reduced, as the folded convolution with r z^0
-    does; so agreement on the basis pairs gives agreement on every pair of
-    numerators, and the product divides by the same denominator either
-    way.  The halved pairs are an agreement test of that last step, the
-    reduction to lowest terms."""
+    two numerators, so agreement on the basis pairs gives agreement on every
+    pair of numerators, and the product divides by the same denominator
+    either way.  The halved pairs are an agreement test of that last step,
+    the reduction to lowest terms."""
     m = _degree(ell)
     kernel = _kernel(ell)
     for i in range(m):
@@ -219,15 +217,16 @@ class Cyclotomic:
     __slots__ = ("ell", "num", "den")
 
     def __init__(self, ell: int, coeffs):
-        """Build from any rational coefficient sequence for ascending powers
-        of zeta; the input is reduced modulo Phi_ell."""
+        """Build from a sequence of rationals (``is_rational``) for ascending
+        powers of zeta; the input is reduced modulo Phi_ell."""
         if ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell}")
-        from fractions import Fraction
-
-        fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in fracs))
-        num = _fold(ell, [c.numerator * (den // c.denominator) for c in fracs])
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not is_rational(c):
+                raise TypeError(f"a rational must be an int or a Fraction, got {c!r}")
+        den = lcm(*(c.denominator for c in coeffs))
+        num = _fold(ell, [c.numerator * (den // c.denominator) for c in coeffs])
         self.ell = ell
         self.num, self.den = _lowest_terms(num, den)
 
@@ -254,16 +253,13 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, ell: int, value) -> "Cyclotomic":
-        """The rational ``value``: an int as it is, anything else through
-        ``Fraction``."""
+        """The rational ``value``, an int or a Fraction (``is_rational``)."""
         if type(value) is int:
             num, den = value, 1
-        else:
-            from fractions import Fraction
-
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
+        elif is_rational(value):
             num, den = value.numerator, value.denominator
+        else:
+            raise TypeError(f"a rational must be an int or a Fraction, got {value!r}")
         return cls._make(ell, (num,) + (0,) * (_degree(ell) - 1), den)
 
     @property
@@ -327,16 +323,8 @@ class Cyclotomic:
 
     def _convolve(self, o: "Cyclotomic") -> "Cyclotomic":
         """The product when phi(ell) >= 3: an integer convolution folded by
-        ``_fold``, or, when a factor is rational, the other scaled by it."""
-        x, y = (o, self) if any(self.num[1:]) else (self, o)
-        if not any(x.num[1:]):
-            # x is the rational r/x.den: scale y by it
-            r = x.num[0]
-            if not r:
-                return x
-            if r == 1 and x.den == 1:
-                return y
-            return Cyclotomic._make(y.ell, *_lowest_terms([r * c for c in y.num], x.den * y.den))
+        ``_fold``, over the product of the denominators in lowest terms, so
+        a zero product is 0/1 like every other zero."""
         a, b = self.num, o.num
         m = len(a)
         conv = [0] * (2 * m - 1)

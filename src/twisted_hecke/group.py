@@ -12,11 +12,12 @@ The 2-cocycle twisting all crossed products here is
     alpha(g^e, g^f) = zeta^(-(e_1 f_2 + e_2 f_3 + ... + e_(n-2) f_(n-1)))
 
 evaluated on residues; well-definedness modulo ell is a tested property.
-``action_char`` gives the scalar by which g acts on a monomial x^p.  The
-twist of a product (m^p g)(m^q h), action_char_exp(g, q) + alpha_exp(g, h)
-mod ell, is linear in g's residues e: it is e . r with r = ``twist_row(q,
-h.e)``, the right factor's row, which a product computes once per right
-term; ``twist_exp(e, r, ell)`` is that sum for each left term.
+``alpha_exp`` is its exponent of zeta, and ``action_char_exp`` the exponent
+by which g acts on a monomial x^p.  The twist of a product (m^p g)(m^q h),
+action_char_exp(g, q) + alpha_exp(g, h) mod ell, is linear in g's residues
+e: it is e . r with r = ``twist_row(q, h.e)``, the right factor's row,
+which a product computes once per right term; ``twist_exp(e, r, ell)`` is
+that sum for each left term.
 ``check_twist_rows`` reads the twist through the same two functions: it
 checks the generators' twists against the formulas and every element's
 against the sum of the generators' it is built from, which makes the twist
@@ -28,12 +29,11 @@ from __future__ import annotations
 import itertools
 from operator import add, mul
 
-from .cyclotomic import Cyclotomic, indexed_powers, zeta_power
+from .cyclotomic import Cyclotomic, indexed_powers
 
 __all__ = [
-    "GroupElem", "GroupCodes", "alpha", "alpha_exp", "action_char", "action_char_exp",
-    "twist_row", "twist_exp", "star_mul", "star_power", "all_elements", "check_twist_rows",
-    "cocycle_identity_holds", "check_bounds", "factors",
+    "GroupElem", "GroupCodes", "alpha_exp", "action_char_exp", "twist_row", "twist_exp",
+    "star_power", "all_elements", "check_twist_rows", "check_bounds", "factors",
 ]
 
 # the largest n: the number of deformation parameters t_1..t_n
@@ -188,10 +188,6 @@ def alpha_exp(g: GroupElem, h: GroupElem) -> int:
     return -sum(g.e[k] * h.e[k + 1] for k in range(g.n - 2))
 
 
-def alpha(g: GroupElem, h: GroupElem) -> Cyclotomic:
-    return zeta_power(g.ell, alpha_exp(g, h))
-
-
 def action_char_exp(g: GroupElem, p) -> int:
     """Exponent of zeta by which g acts on a monomial with exponent vector p."""
     e = g.e
@@ -213,23 +209,12 @@ def twist_exp(e, row, ell: int) -> int:
     return sum(map(mul, e, row)) % ell
 
 
-def action_char(g: GroupElem, p) -> Cyclotomic:
-    if len(p) != g.n:
-        raise ValueError(f"exponent vector must have length {g.n}")
-    return zeta_power(g.ell, action_char_exp(g, p))
-
-
-def star_mul(g: GroupElem, h: GroupElem):
-    """The product in the twisted group algebra: (alpha(g, h), g*h)."""
-    return alpha(g, h), g * h
-
-
 def star_power(g: GroupElem, m: int):
     """m-fold twisted product g * g * ... * g, folded left to right."""
     scalar = Cyclotomic.one(g.ell)
     acc = GroupElem.identity(g.n, g.ell)
     for _ in range(m):
-        scalar = scalar * alpha(acc, g)
+        scalar = scalar.times_zeta(alpha_exp(acc, g))
         acc = acc * g
     return scalar, acc
 
@@ -290,8 +275,3 @@ def check_twist_rows(n: int, ell: int, part: str):
             return False, witness, cases
     return True, None, cases
 
-
-def cocycle_identity_holds(n: int, ell: int) -> bool:
-    """Check alpha(g,h)*alpha(gh,k) == alpha(h,k)*alpha(g,hk) on all of G,
-    exactly, through the twist rows the products read (``check_twist_rows``)."""
-    return check_twist_rows(n, ell, "alpha")[0]

@@ -460,8 +460,12 @@ def suite_report(cfg: Config, results: list[CheckResult]) -> dict:
 
 def run_grid(points=DEFAULT_GRID, degree_bound: int = 8, seed: int = 0) -> dict:
     """Run the suite over a grid of (n, ell) points; combined JSON report.
-    Every point is validated (as a ``Config``) before any suite runs."""
+    Every point is validated (as a ``Config``) before any suite runs, and a
+    grid of no points is rejected, since its report would pass having
+    examined nothing."""
     configs = [Config(n=n, ell=ell, degree_bound=degree_bound, seed=seed) for n, ell in points]
+    if not configs:
+        raise ValueError("a grid needs at least one (n, ell) point")
     suites = []
     ok = True
     for cfg in configs:

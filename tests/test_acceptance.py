@@ -14,7 +14,7 @@ import pytest
 from twisted_hecke.chebyshev import identity_che1, identity_che2, identity_rho, nu
 from twisted_hecke.cyclotomic import Cyclotomic
 from twisted_hecke.exprs import eval_hecke, eval_laurent
-from twisted_hecke.group import GroupElem, cocycle_identity_holds, star_power
+from twisted_hecke.group import GroupElem, check_twist_rows, star_power
 from twisted_hecke.hecke import HeckeAlgebra
 from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import (
@@ -136,7 +136,7 @@ def test_criterion_07_chebyshev_suite():
 def test_criterion_08_cocycle_and_signs(ctx):
     for n, ell in GRID:
         assert ell ** (n - 1) <= 10_000
-        assert cocycle_identity_holds(n, ell), (n, ell)
+        assert check_twist_rows(n, ell, "alpha")[0], (n, ell)
         scal, g = star_power(GroupElem.generator(n, ell, n), ell)
         assert g.is_identity(), (n, ell)
         sign = -1 if (n * (ell - 1)) % 2 else 1

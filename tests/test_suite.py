@@ -17,7 +17,7 @@ from twisted_hecke import chebyshev, crossed, group, hecke, laurent, suite
 from twisted_hecke.cli import main
 from twisted_hecke.coeffring import ParamRing
 from twisted_hecke.cyclotomic import Cyclotomic, zeta_power
-from twisted_hecke.group import GroupElem, cocycle_identity_holds
+from twisted_hecke.group import GroupElem, check_twist_rows
 from twisted_hecke.hecke import HeckeAlgebra
 from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import (
@@ -73,10 +73,10 @@ def test_suite_is_deterministic(results32):
 NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-from twisted_hecke.group import cocycle_identity_holds
+from twisted_hecke.group import check_twist_rows
 from twisted_hecke.suite import Config, run_suite
 statuses = {r.status for r in run_suite(Config(n=3, ell=2))}
-print(statuses, cocycle_identity_holds(4, 7))
+print(statuses, check_twist_rows(4, 7, "alpha")[0])
 """
 
 
@@ -179,10 +179,7 @@ def test_import_and_construction_load_only_what_they_use():
 PUBLIC_SOURCES = {
     "cyclotomic": ("Cyclotomic", "cyclotomic_polynomial", "zeta_power"),
     "coeffring": ("ParamPoly", "ParamRing"),
-    "group": (
-        "GroupElem", "alpha", "action_char", "star_mul", "star_power", "all_elements",
-        "cocycle_identity_holds",
-    ),
+    "group": ("GroupElem", "star_power", "all_elements"),
     "hecke": ("HeckeAlgebra", "HeckeElem", "enumerate_J"),
     "laurent": ("LaurentAlgebra", "LaurentElem"),
     "chebyshev": (
@@ -299,7 +296,7 @@ def test_twist_checks_reject_a_corrupted_row(monkeypatch):
     monkeypatch.setattr(
         group, "twist_exp", lambda e, row, ell: real(e, row, ell) + (e == g1.e) * sum(row)
     )
-    assert not cocycle_identity_holds(n, ell)
+    assert not check_twist_rows(n, ell, "alpha")[0]
     by_name = {r.name: r.status for r in run_suite(Config(n=n, ell=ell))}
     assert by_name["cocycle-identity"] == "fail"
     assert by_name["action-character-laws"] == "fail"
@@ -505,6 +502,16 @@ def test_run_grid_takes_points_from_an_iterator():
     report = run_grid(iter([(3, 2)]))
     assert report["grid"] == [{"n": 3, "ell": 2}]
     assert report["summary"] == {"ok": True, "points": 1}
+
+
+@pytest.mark.parametrize("points", [(), [], iter(())])
+def test_run_grid_rejects_an_empty_grid(points, monkeypatch):
+    # a report of no points would pass having examined nothing
+    calls = []
+    monkeypatch.setattr(suite, "run_suite", lambda cfg: calls.append(cfg) or [])
+    with pytest.raises(ValueError, match=r"^a grid needs at least one \(n, ell\) point$"):
+        run_grid(points)
+    assert calls == []
 
 
 def test_config_validation():
