@@ -13,11 +13,7 @@ imports the submodule that defines it (PEP 562).  Building
 ``HeckeAlgebra`` and ``LaurentAlgebra`` with symbolic t loads
 ``cyclotomic``, ``group``, ``coeffring``, ``crossed``, ``hecke`` and
 ``laurent``, and neither ``fractions`` nor the parser, the suite or
-``chebyshev``; those load when a value is parsed, rendered or verified.  A
-fresh interpreter that imports the package and builds both algebras at
-(5,4) took a median 6.1-8.5 ms (three sets of 30 runs) when every
-submodule loaded with the package, and 2.4-3.2 ms this way (CPython
-3.11.7, 2 vCPUs, shared host).
+``chebyshev``; those load when a value is parsed, rendered or verified.
 """
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import SparseSum, accumulate, power, render_terms
+from .cyclotomic import SparseSum, power, render_terms
 
 __all__ = [
     "IntPoly",
@@ -65,15 +65,6 @@ class IntPoly(SparseSum):
 
     def one(self) -> "IntPoly":
         return IntPoly.const(1)
-
-    def __mul__(self, other):
-        if type(other) is not IntPoly:
-            return self.__rmul__(other)
-        out: dict = {}
-        for (i, j), a in self.terms.items():
-            for (k, l), b in other.terms.items():
-                accumulate(out, (i + k, j + l), a * b)
-        return self._like(out)
 
     def render(self) -> str:
         return render_terms(

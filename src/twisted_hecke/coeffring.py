@@ -29,12 +29,11 @@ and the ring is the only place that knows whether t is specialized.
 
 from __future__ import annotations
 
-from operator import add
+from math import prod
 
 from .cyclotomic import (
     Cyclotomic,
     SparseSum,
-    accumulate,
     graded_lex_key,
     indexed_powers,
     is_rational,
@@ -82,36 +81,18 @@ class ParamPoly(SparseSum):
     def one(self) -> "ParamPoly":
         return self._like({(0,) * self.n: Cyclotomic.one(self.ell)})
 
-    def __mul__(self, other):
-        # an exact type test first: Fraction is an ABC, so isinstance is slow
-        if type(other) is not ParamPoly:
-            return self.__rmul__(other)
-        self._check(other)
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                accumulate(out, tuple(map(add, ea, eb)), ca * cb)
-        return self._like(out)
-
-    # bound in this class, so the per-layer tracer can wrap it for ParamPoly
-    # alone
+    # bound in this class, so the per-layer tracer can wrap them for
+    # ParamPoly alone
+    __mul__ = SparseSum.__mul__
     scale = SparseSum.scale
 
     def specialize(self, values) -> Cyclotomic:
-        """Exact evaluation at t = values (a sequence of n Q(zeta) scalars)."""
-        values = list(values)
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(values)}")
-        for v in values:
-            if not isinstance(v, Cyclotomic) or v.ell != self.ell:
-                raise ValueError("specialization values must lie in Q(zeta) for this ell")
+        """Exact evaluation at t = values, n Q(zeta) scalars as a specialized
+        ring takes them (``check_t_values``)."""
+        values = check_t_values(self.n, self.ell, values)
         acc = Cyclotomic.zero(self.ell)
         for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
-                if k:
-                    term = term * v**k
-            acc = acc + term
+            acc = acc + prod((v**k for v, k in zip(values, e) if k), start=c)
         return acc
 
     def sorted_terms(self):
@@ -140,6 +121,18 @@ class ParamPoly(SparseSum):
         return f"ParamPoly({self.n}, {self.ell}, {self.render()!r})"
 
 
+def check_t_values(n: int, ell: int, t_values) -> tuple:
+    """``t_values`` as a tuple of n Cyclotomic scalars of this ell, the
+    specialized t every layer accepts; ValueError otherwise."""
+    t_values = tuple(t_values)
+    if len(t_values) != n:
+        raise ValueError(f"expected {n} parameter values, got {len(t_values)}")
+    for v in t_values:
+        if not isinstance(v, Cyclotomic) or v.ell != ell:
+            raise ValueError("parameter values must be Cyclotomic of matching ell")
+    return t_values
+
+
 class ParamRing:
     """Configuration object for Q(zeta)[t_1..t_n], optionally specialized.
 
@@ -164,12 +157,7 @@ class ParamRing:
             self._one = self._zero._like({self.t_zero: one})
         else:
             self.t_zero = ()
-            t_values = tuple(t_values)
-            if len(t_values) != n:
-                raise ValueError(f"expected {n} parameter values, got {len(t_values)}")
-            for v in t_values:
-                if not isinstance(v, Cyclotomic) or v.ell != ell:
-                    raise ValueError("parameter values must be Cyclotomic of matching ell")
+            t_values = check_t_values(n, ell, t_values)
             self._one, self._zero = one, Cyclotomic.zero(ell)
         self.t_values = t_values
         self._zeta = zeta_power(ell, 1)
@@ -276,10 +264,7 @@ class ParamRing:
 
     def tau_product(self) -> ParamPoly | Cyclotomic:
         """The product tau_1 * ... * tau_n."""
-        p = self._one
-        for i in range(1, self.n + 1):
-            p = p * self.tau(i)
-        return p
+        return prod(map(self.tau, range(1, self.n + 1)), start=self._one)
 
     def beta(self) -> ParamPoly | Cyclotomic:
         """(-1)^n zeta^(n-2) tau_1...tau_n: theta(w) = Y + beta Y^(-1) with

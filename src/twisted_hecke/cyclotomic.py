@@ -33,6 +33,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 __all__ = ["Cyclotomic", "SparseSum", "cyclotomic_polynomial", "zeta_power"]
 
@@ -485,11 +486,12 @@ class SparseSum:
     no zero coefficient is ever stored, so == compares the maps.  Values are
     immutable by convention; arithmetic always builds new maps.
 
-    This class holds the vector-space arithmetic.  A subclass fixes the space
-    (slots beside ``terms``) and supplies ``_like`` (a sum in the same space
-    holding a map as it is: the one internal constructor), ``_same_space``,
-    ``_coerce`` (a scalar into the coefficient ring, or None), ``one``, its
-    product and ``render``.  The public constructor drops zero coefficients.
+    This class holds the vector-space arithmetic and the product of commuting
+    monomials (``crossed`` replaces it).  A subclass fixes the space (slots
+    beside ``terms``) and supplies ``_like`` (a sum in the same space holding
+    a map as it is: the one internal constructor), ``_same_space``,
+    ``_coerce`` (a scalar into the coefficient ring, or None), ``one`` and
+    ``render``.  The public constructor drops zero coefficients.
     Sums of different types never mix: + and - return NotImplemented, so
     Python raises TypeError.
     """
@@ -531,6 +533,18 @@ class SparseSum:
 
     def __neg__(self):
         return self._like({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """The product of commuting monomials: exponents add, coefficients multiply."""
+        # an exact type test first: Fraction is an ABC, so isinstance is slow
+        if type(other) is not type(self):
+            return self.__rmul__(other)
+        self._check(other)
+        out: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                accumulate(out, tuple(map(add, ea, eb)), ca * cb)
+        return self._like(out)
 
     def __rmul__(self, value):
         c = self._coerce(value)

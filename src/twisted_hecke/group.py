@@ -53,6 +53,15 @@ def check_bounds(n: int, ell: int) -> None:
         raise ValueError(f"ell must be >= 2, got {ell}")
 
 
+def check_degree_bound(name: str, value) -> None:
+    """A degree bound of the finite-evidence checks: an integer >= 0, since
+    a negative one would leave them nothing to examine."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 class GroupElem:
     """An element of (Z/ell)^(n-1), as residues of exponents of g_1..g_(n-1);
     a value: two are equal, with equal hashes, when group and residues are."""

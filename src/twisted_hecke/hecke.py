@@ -27,7 +27,8 @@ the rewriting confluent on everything we compute.
 
 Element arithmetic, the algebra plumbing and the product loop come from
 ``crossed``: the twist of each term pair, both group steps and ``gr_mul``.
-This module adds only the rewriting, w and F.
+This module adds only the rewriting, w, F and the one expansion of F and
+its parts (``expand_relation``) that both algebras call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import prod
 
 from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
-from .group import GroupElem
+from .group import GroupElem, check_degree_bound
 
 __all__ = ["HeckeElem", "HeckeAlgebra", "enumerate_J"]
 
@@ -105,6 +106,28 @@ def relation_b_terms(ring) -> list:
 
     ell, beta = ring.ell, ring.beta()
     return [(ell - 2 * r, (beta**r).scale(nu(ell, r))) for r in range(ell // 2 + 1)]
+
+
+def successive_powers(pows: list, mul, k: int):
+    """b^k from pows = [b^0, b^1, ...], which holds b^0, and b^1 when
+    k >= 1.  Each missing power is appended as b^j = b * b^(j-1), one
+    product by b."""
+    while len(pows) <= k:
+        pows.append(mul(pows[1], pows[-1]))
+    return pows[k]
+
+
+def expand_relation(alg, pairs, a, b_pows: list):
+    """The sum of c b^m a_1^(k_1) ... a_n^(k_n) over ((k, m), c) pairs in
+    ``alg``, with b^m from ``successive_powers`` over b_pows: F or either of
+    its parts.  Pairs, not a map: at even n, ``relation_a_terms`` yields the
+    zero vector once per perfect matching of the n-cycle."""
+    total = alg.zero()
+    for (k, m), c in pairs:
+        factors = [a_i for a_i, k_i in zip(a, k) for _ in range(k_i)]
+        term = reduce(alg.mul, factors, successive_powers(b_pows, alg.mul, m))
+        total = total + term.scale(c)
+    return total
 
 
 class HeckeElem(CrossedElem):
@@ -261,25 +284,19 @@ class HeckeAlgebra(CrossedAlgebra):
         return pows[1]
 
     def w_power(self, k: int) -> HeckeElem:
-        """w^k from the successive powers w^0, w^1, ...: each new power is one
-        product by w, which has only |J| terms, so w * w^3 is cheaper than
-        w^2 * w^2.
-
-        w goes on the left: w * w^(k-1) = w^k = w^(k-1) * w in any
-        associative algebra, since powers of one element commute with each
-        other; no centrality of w is used (``centrality-w`` checks that on
-        its own).  The order matters for the cost, because
-        ``_normal_product(p, q)`` inserts the |p| letters of the left factor
-        into x^q one at a time, and w's monomials have |p| <= n where those
-        of w^(k-1) reach |p| = n(k-1)."""
+        """w^k from the successive powers w^0, w^1, ... (``successive_powers``):
+        each new power is w * w^(k-1), which costs less than w^(k-1) * w here
+        because ``_normal_product(p, q)`` inserts the |p| letters of the left
+        factor into x^q one at a time, and w's monomials have |p| <= n where
+        those of w^(k-1) reach |p| = n(k-1).  No centrality of w is used
+        (``centrality-w`` checks that on its own)."""
+        if not isinstance(k, int):
+            raise ValueError(f"the power of w must be an integer, got {k!r}")
         if k < 0:
             raise ValueError("negative power of w")
-        pows = self._w_pows
         if k:
             self.build_w()
-        while len(pows) <= k:
-            pows.append(self.mul(pows[1], pows[-1]))
-        return pows[k]
+        return successive_powers(self._w_pows, self.mul, k)
 
     def is_central(self, z: HeckeElem):
         """(True, None) if z commutes with every generator of H, else
@@ -311,15 +328,13 @@ class HeckeAlgebra(CrossedAlgebra):
         return terms
 
     def evaluate_F(self) -> HeckeElem:
-        """Substitute a_i -> x_i^ell, b -> w into the center relation and
-        expand in H.  The result is the zero element exactly when the
-        relation holds, which the acceptance suite asserts on a grid.  No
-        term carries both a and b, so each is a power of w or a monomial."""
-        total = self.zero()
-        for (a, bexp), coeff in self.center_relation_terms().items():
-            term = self.w_power(bexp) if bexp else self.monomial(tuple(self.ell * k for k in a))
-            total = total + term.scale(coeff)
-        return total
+        """F at a_i = x_i^ell and b = w, expanded in H by ``expand_relation``
+        with w's powers from ``w_power``'s list.  The result is the zero
+        element exactly when the relation holds, which the acceptance suite
+        asserts on a grid."""
+        a = [self.x_pow_ell(i) for i in range(1, self.n + 1)]
+        self.build_w()
+        return expand_relation(self, self.center_relation_terms().items(), a, self._w_pows)
 
     # -- finite evidence for the basis and spot checks --------------------
 
@@ -327,10 +342,9 @@ class HeckeAlgebra(CrossedAlgebra):
         """Check that the normal forms of x^(ell p) w^m (0 <= m < ell,
         bounded total degree) each contain their expected leading monomial
         x^(ell p + m delta) with nonzero coefficient, and that these leading
-        monomials are pairwise distinct.  A negative bound would examine
-        nothing and raises ValueError."""
-        if max_total_degree < 0:
-            raise ValueError(f"max_total_degree must be >= 0, got {max_total_degree}")
+        monomials are pairwise distinct.  The bound is an integer >= 0
+        (``check_degree_bound``)."""
+        check_degree_bound("max_total_degree", max_total_degree)
         seen = set()
         for p, m in independence_exponents(self.n, self.ell, max_total_degree):
             product = self.mul(

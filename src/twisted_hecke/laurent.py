@@ -18,11 +18,10 @@ as exact checks.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .crossed import CrossedAlgebra, CrossedElem, crossed_mul, exponents_bounded
 from .cyclotomic import zeta_power
-from .hecke import HeckeElem, relation_a_terms, relation_b_terms
+from .group import check_degree_bound
+from .hecke import HeckeElem, expand_relation, relation_a_terms, relation_b_terms
 
 __all__ = ["LaurentElem", "LaurentAlgebra"]
 
@@ -131,24 +130,20 @@ class LaurentAlgebra(CrossedAlgebra):
     def leftside_identity_check(self) -> bool:
         """sum over independent sets of tau~ products times products of the
         closed forms theta(x_i^ell) equals Y^ell + beta^ell Y^(-ell), with
-        Y = y_1...y_n."""
-        closed = {i: self.theta_xi_ell_closed(i) for i in range(1, self.n + 1)}
-        total = self.zero()
-        for v, coeff in relation_a_terms(self.ring):
-            factors = [closed[i] for i in range(1, self.n + 1) if v[i - 1]]
-            prod = reduce(self.lmul, factors) if factors else self.one()
-            total = total + prod.scale(coeff)
-        return total == self._power_sum_rhs()
+        Y = y_1...y_n: ``relation_a_terms`` expanded by ``expand_relation``
+        at a_i = ``theta_xi_ell_closed(i)``."""
+        closed = [self.theta_xi_ell_closed(i) for i in range(1, self.n + 1)]
+        pairs = (((v, 0), coeff) for v, coeff in relation_a_terms(self.ring))
+        return expand_relation(self, pairs, closed, [self.one()]) == self._power_sum_rhs()
 
     def rightside_identity_check(self) -> bool:
         """sum_r nu_r beta^r bt^(ell-2r), with bt = Y + beta Y^(-1) the
         closed form of theta(w), equals the same right side
-        Y^ell + beta^ell Y^(-ell)."""
-        bt = self.theta_w_closed()
-        total = self.zero()
-        for bexp, coeff in relation_b_terms(self.ring):
-            total = total + (bt**bexp).scale(coeff)
-        return total == self._power_sum_rhs()
+        Y^ell + beta^ell Y^(-ell): ``relation_b_terms`` expanded by
+        ``expand_relation`` at b = bt."""
+        pairs = ((((), m), coeff) for m, coeff in relation_b_terms(self.ring))
+        b_pows = [self.one(), self.theta_w_closed()]
+        return expand_relation(self, pairs, (), b_pows) == self._power_sum_rhs()
 
     def injectivity_spotcheck(self, max_degree: int) -> bool:
         """Triangularity evidence: for every PBW monomial x^p g of total
@@ -161,10 +156,9 @@ class LaurentAlgebra(CrossedAlgebra):
         term c y^q h to alpha(h, g) c y^q (hg).  That map is injective on
         monomials, keeps every degree and scales every coefficient by a root
         of unity, and the leading term y^p 1 picks up alpha(1, g) = 1.
-        A negative bound would examine nothing and raises ValueError.
+        The bound is an integer >= 0 (``check_degree_bound``).
         """
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+        check_degree_bound("max_degree", max_degree)
         one = self.ring.unit
         for p in exponents_bounded(self.n, max_degree):
             d = sum(p)

@@ -18,14 +18,16 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import reduce
 
 from . import chebyshev
+from .coeffring import check_t_values
 from .crossed import exponents_bounded
 from .cyclotomic import Cyclotomic, accumulate, zeta_power
 from .exprs import eval_hecke, eval_laurent, parse
-from .group import GroupElem, action_char_exp, check_bounds, check_twist_rows, star_power
-from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, independence_exponents
+from .group import (
+    GroupElem, action_char_exp, check_bounds, check_degree_bound, check_twist_rows, star_power,
+)
+from .hecke import HeckeAlgebra, HeckeElem, enumerate_J, expand_relation, independence_exponents
 from .laurent import LaurentAlgebra
 from .record import FrozenRecord, Record
 
@@ -45,9 +47,10 @@ DEFAULT_GRID = tuple((n, ell) for n in (3, 4, 5) for ell in (2, 3, 4))
 class Config(FrozenRecord):
     """One verification configuration.
 
-    ``t_values`` is None for symbolic deformation parameters or a tuple of
-    n Q(zeta) scalars; ``degree_bound`` bounds the finite-evidence checks;
-    ``seed`` drives every randomized sample.
+    ``t_values`` is None for symbolic deformation parameters or n Q(zeta)
+    scalars of this ell, held as a tuple (``check_t_values``);
+    ``degree_bound`` bounds the finite-evidence checks; ``seed`` drives
+    every randomized sample.
     """
 
     __slots__ = ("n", "ell", "t_values", "degree_bound", "seed")
@@ -61,13 +64,9 @@ class Config(FrozenRecord):
         seed: int = 0,
     ):
         check_bounds(n, ell)
-        if t_values is not None and len(t_values) != n:
-            raise ValueError(f"expected {n} parameter values")
-        if not isinstance(degree_bound, int):
-            raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
-        if degree_bound < 0:
-            # a negative bound leaves the finite-evidence checks nothing to examine
-            raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
+        if t_values is not None:
+            t_values = check_t_values(n, ell, t_values)
+        check_degree_bound("degree_bound", degree_bound)
         set_field = object.__setattr__
         set_field(self, "n", n)
         set_field(self, "ell", ell)
@@ -223,7 +222,9 @@ def center_relation_through_theta(H: HeckeAlgebra, L: LaurentAlgebra):
     """F(x_1^ell, ..., x_n^ell, w) = 0 in H, read through theta: the terms
     of ``H.center_relation_terms()`` at a_i = theta(x_i^ell) and
     b = theta(w), the images of ``H.x_pow_ell(i)`` and ``H.build_w()``,
-    expanded in L; returns (ok, witness, cases), one case per term of F.
+    expanded in L by ``expand_relation`` with a list of powers of theta(w)
+    of its own, so no power of w is built in H; returns (ok, witness,
+    cases), one case per term of F.
 
     Why the image decides F in H, in every degree at (n, ell):
     - theta is an algebra map from H: ``theta_relations`` (R), with the
@@ -239,16 +240,9 @@ def center_relation_through_theta(H: HeckeAlgebra, L: LaurentAlgebra):
     H's own expansion, ``HeckeAlgebra.evaluate_F``, builds w^ell with the
     rewriting engine; it checks the engine, not the relation.
     """
-    n = H.n
-    a_img = [L.theta(H.x_pow_ell(i)) for i in range(1, n + 1)]
-    b_pows = [L.one(), L.theta(H.build_w())]
+    a_img = [L.theta(H.x_pow_ell(i)) for i in range(1, H.n + 1)]
     terms = H.center_relation_terms()
-    total = L.zero()
-    for (a, bexp), coeff in terms.items():
-        while len(b_pows) <= bexp:
-            b_pows.append(L.lmul(b_pows[-1], b_pows[1]))
-        factors = [img for img, k in zip(a_img, a) for _ in range(k)]
-        total = total + reduce(L.lmul, factors, b_pows[bexp]).scale(coeff)
+    total = expand_relation(L, terms.items(), a_img, [L.one(), L.theta(H.build_w())])
     ok = total.is_zero()
     return ok, None if ok else f"theta(F) = {total.render()}", len(terms)
 

@@ -157,9 +157,9 @@ def test_specialize_is_a_ring_homomorphism(a, b, vals):
 
 def test_specialize_rejects_bad_values():
     t1 = ring().t(1)
-    with pytest.raises(ValueError, match=r"^expected 3 values, got 2$"):
+    with pytest.raises(ValueError, match=r"^expected 3 parameter values, got 2$"):
         t1.specialize([Cyclotomic.one(2)] * 2)
-    with pytest.raises(ValueError, match=r"^specialization values must lie in Q\(zeta\) for this ell$"):
+    with pytest.raises(ValueError, match=r"^parameter values must be Cyclotomic of matching ell$"):
         t1.specialize([zeta_power(3, 1)] * 3)
 
 

@@ -14,7 +14,10 @@ from twisted_hecke.hecke import (
     HeckeAlgebra,
     cover_complement,
     enumerate_J,
+    expand_relation,
+    relation_a_terms,
     relation_b_terms,
+    successive_powers,
 )
 from twisted_hecke.laurent import LaurentAlgebra
 from twisted_hecke.suite import random_hecke_elem
@@ -255,6 +258,34 @@ def test_pbw_independence_evidence_fails_without_w(monkeypatch):
     # with w replaced by 1, x^(ell p) w^m lacks its leading monomial for m >= 1
     monkeypatch.setattr(HeckeAlgebra, "w_power", lambda self, k: self.one())
     assert not HeckeAlgebra(3, 2).pbw_independence_evidence(3)
+
+
+def test_successive_powers_put_b_on_the_left():
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y
+
+    pows = [1, 3]
+    assert successive_powers(pows, mul, 4) == 81
+    assert calls == [(3, 3), (3, 9), (3, 27)] and pows == [1, 3, 9, 27, 81]
+    assert successive_powers(pows, mul, 2) == 9 and len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_expand_relation_keeps_repeated_exponents(n):
+    # the zero vector comes once per perfect matching of the n-cycle; a map
+    # keyed by exponents would keep one of the two
+    L = LaurentAlgebra(n, 2)
+    a_terms = relation_a_terms(L.ring)
+    zero = (0,) * n
+    assert [v for v, _ in a_terms].count(zero) == 2
+    pair = ((zero, 0), L.ring.one())
+    assert expand_relation(L, [pair, pair], [], [L.one()]) == L.one().scale(2)
+    closed = [L.theta_xi_ell_closed(i) for i in range(1, n + 1)]
+    pairs = [((v, 0), c) for v, c in a_terms]
+    assert expand_relation(L, pairs, closed, [L.one()]) == L._power_sum_rhs()
 
 
 def test_negative_w_power_and_zero_degree(H32):

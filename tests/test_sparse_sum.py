@@ -112,6 +112,9 @@ def test_incompatible_spaces_raise_and_differ(name):
         a + foreign
     with pytest.raises(ValueError):
         a - foreign
+    # the product, ParamPoly's included, checks the space first
+    with pytest.raises(ValueError):
+        a * foreign
     assert a != foreign and a.one() != foreign and foreign != a.one()
     if name.endswith("-spec"):
         # only the values of t tell the two ones apart

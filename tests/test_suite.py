@@ -543,7 +543,9 @@ def test_config_construction_defaults_and_messages():
         ((2, 2), {}, "n must be between 3 and 16, got 2"),
         ((17, 2), {}, "n must be between 3 and 16, got 17"),
         ((3, 1), {}, "ell must be >= 2, got 1"),
-        ((3, 2, (Cyclotomic.zero(2),)), {}, "expected 3 parameter values"),
+        ((3, 2, (Cyclotomic.zero(2),)), {}, "expected 3 parameter values, got 1"),
+        ((3, 2, (1, 2, 3)), {}, "parameter values must be Cyclotomic of matching ell"),
+        ((3, 2, (zeta_power(3, 1),) * 3), {}, "parameter values must be Cyclotomic of matching ell"),
         ((3, 2), {"degree_bound": -1}, "degree_bound must be >= 0, got -1"),
         ((3.0, 2), {}, "n must be an integer, got 3.0"),
         ((3, "2"), {}, "ell must be an integer, got '2'"),
@@ -566,6 +568,9 @@ def test_config_is_a_frozen_value():
         "Config(n=3, ell=3, t_values=(Cyclotomic(3, zeta), Cyclotomic(3, zeta), "
         "Cyclotomic(3, zeta)), degree_bound=4, seed=7)"
     )
+    # values given as a list are held as the tuple the ring checks
+    assert Config(3, 3, list(t)) == Config(3, 3, t)
+    assert hash(Config(3, 3, list(t))) == hash(Config(3, 3, t))
     for field in ("n", "seed", "extra"):
         with pytest.raises(AttributeError):
             setattr(cfg, field, 5)
@@ -636,6 +641,21 @@ def test_negative_degree_bound_is_rejected_not_passed():
         HeckeAlgebra(3, 2).pbw_independence_evidence(-1)
     with pytest.raises(ValueError, match="max_degree"):
         LaurentAlgebra(3, 2).injectivity_spotcheck(-1)
+
+
+def test_non_integer_bounds_and_powers_have_one_line_errors():
+    H, L = HeckeAlgebra(3, 2), LaurentAlgebra(3, 2)
+    for call, message in (
+        (lambda: H.w_power(2.0), "the power of w must be an integer, got 2.0"),
+        (lambda: H.pbw_independence_evidence(2.5), "max_total_degree must be an integer, got 2.5"),
+        (lambda: L.injectivity_spotcheck(2.5), "max_degree must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    # the benchmark's gate reads the spot check through bool(), so it stays a bool
+    assert L.injectivity_spotcheck(2) is True
+    assert H.pbw_independence_evidence(2) is True
 
 
 # -- CLI ------------------------------------------------------------------
